@@ -2,7 +2,7 @@
 
 QCHECK_SEED ?= 20260805
 
-.PHONY: all build test lint baseline lint-baseline check bench bench-sched bench-placement bench-obs bench-lower bench-fuse bench-serve clean
+.PHONY: all build test lint baseline lint-baseline check bench bench-sched bench-placement bench-obs bench-lower bench-fuse bench-serve bench-e2e bench-e2e-compare clean
 
 all: build
 
@@ -109,6 +109,26 @@ bench-fuse: build
 # if any served job's output diverges from a solo `lmc run`.
 bench-serve: build
 	dune exec bench/serve_bench.exe -- BENCH_serve.json
+
+# End-to-end A/B (bench/e2e/README.md): `make bench-e2e OUT=dir` runs
+# every BENCHMARK.json workload into dir/, once per seed in SEEDS;
+# `make bench-e2e-compare A=dir B=dir` gives a verdict per (metric,
+# workload) and fails if B is worse than A.
+SEEDS ?= 1
+E2E_WORKLOADS = jvm_kernels gpu_offload stream_pipelines serve_mix
+
+bench-e2e: build
+	@test -n "$(OUT)" || { echo "usage: make bench-e2e OUT=dir [SEEDS='1 2']"; exit 2; }
+	@mkdir -p $(OUT)
+	@for s in $(SEEDS); do for w in $(E2E_WORKLOADS); do \
+	  echo "== $$w seed $$s"; \
+	  dune exec --display=quiet bench/e2e/e2e.exe -- --workload $$w \
+	    --seed $$s --json $(OUT)/$$w.$$s.json > /dev/null || exit 1; \
+	done; done
+
+bench-e2e-compare: build
+	@test -n "$(A)" && test -n "$(B)" || { echo "usage: make bench-e2e-compare A=dir B=dir"; exit 2; }
+	dune exec --display=quiet bench/e2e/e2e.exe -- compare $(A)/*.json -- $(B)/*.json
 
 clean:
 	dune clean

@@ -489,9 +489,10 @@ let a3_divergence () =
       | _ -> failwith "no map site"
     in
     ignore entry;
+    let sp = Gpu.Simt.prepare prog in
     List.iter
       (fun model ->
-        let _, timing = Gpu.Simt.run_map ~model_divergence:model prog site args in
+        let _, timing = Gpu.Simt.run_map ~model_divergence:model sp site args in
         Table.add_row t
           [
             name;

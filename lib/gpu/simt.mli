@@ -26,10 +26,23 @@ type timing = {
 
 exception Device_error of string
 
+type program
+(** One engine's device code: each device function compiles once, on
+    first launch, into OCaml closures. Callee lookups, bounds proofs,
+    slot counts, parameter slots, operand reads and per-operation cycle
+    costs are resolved at compile time; a launch looks its kernel up
+    once and runs one closure call per work item. Every work item is
+    charged exactly what a walk of the IR would charge, so modeled
+    time does not depend on this. *)
+
+val prepare : Ir.program -> program
+(** An empty per-program kernel cache; compilation is lazy. Launches
+    on one [program] must not overlap (an engine runs one at a time). *)
+
 val run_map :
   ?device:Device.t ->
   ?model_divergence:bool ->
-  Ir.program ->
+  program ->
   Ir.map_site ->
   Wire.Value.t list ->
   Wire.Value.t * timing
@@ -39,7 +52,7 @@ val run_map :
 val run_reduce :
   ?device:Device.t ->
   ?model_divergence:bool ->
-  Ir.program ->
+  program ->
   Ir.reduce_site ->
   Wire.Value.t ->
   Wire.Value.t * timing
@@ -50,7 +63,7 @@ val run_filter_chain :
   ?device:Device.t ->
   ?model_divergence:bool ->
   ?uid:string ->
-  Ir.program ->
+  program ->
   chain:string list ->
   output_ty:Ir.ty ->
   Wire.Value.t ->

@@ -23,6 +23,10 @@ val apply : string -> Wire.Value.t list -> Wire.Value.t
     [apply "Math.pow" [Float 2.; Float 10.]].
     @raise Error on unknown keys or wrong arguments. *)
 
+val resolve : string -> Wire.Value.t list -> Wire.Value.t
+(** [resolve key] looks the intrinsic up once; applying the result is
+    [apply key]. An unknown key raises {!Error} when applied. *)
+
 val device_cycles : string -> float
 (** GPU special-function-unit cost of one application. *)
 

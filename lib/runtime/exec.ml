@@ -22,6 +22,9 @@ type t = {
           fault recovery re-plans with fusion off to unfuse a faulted
           run per stage *)
   gpu_device : Gpu.Device.t;
+  simt : Gpu.Simt.program;
+      (** the program's device functions, compiled once for the SIMT
+          simulator on first launch *)
   fpga_clock_ns : int;
   fifo_capacity : int;
   schedule : Scheduler.mode;
@@ -81,6 +84,7 @@ let create ?(policy = Substitute.Prefer_accelerators) ?(fuse = true)
     policy_ = policy;
     fuse_ = fuse;
     gpu_device;
+    simt = Gpu.Simt.prepare unit_.Bytecode.Compile.u_program;
     fpga_clock_ns;
     fifo_capacity;
     schedule;
@@ -256,7 +260,7 @@ let run_gpu_map t (site : Ir.map_site) (args : I.v list) : I.v =
       let dev_args = List.map (ship_to_device t) host_args in
       let result, timing =
         Gpu.Simt.run_map ~device:t.gpu_device
-          ~model_divergence:t.model_divergence (program t) site dev_args
+          ~model_divergence:t.model_divergence t.simt site dev_args
       in
       Metrics.add_gpu_kernel t.metrics_ ~ns:timing.Gpu.Simt.kernel_ns;
       Metrics.add_substitution t.metrics_ site.map_uid Artifact.Gpu;
@@ -268,7 +272,7 @@ let run_gpu_reduce t (site : Ir.reduce_site) (arg : I.v) : I.v =
       let dev_arg = ship_to_device t (I.prim_exn arg) in
       let result, timing =
         Gpu.Simt.run_reduce ~device:t.gpu_device
-          ~model_divergence:t.model_divergence (program t) site dev_arg
+          ~model_divergence:t.model_divergence t.simt site dev_arg
       in
       Metrics.add_gpu_kernel t.metrics_ ~ns:timing.Gpu.Simt.kernel_ns;
       Metrics.add_substitution t.metrics_ site.red_uid Artifact.Gpu;
@@ -392,7 +396,7 @@ let gpu_batch t (artifact : Artifact.gpu_artifact)
       let dev_input = ship_to_device t packed in
       let result, timing =
         Gpu.Simt.run_filter_chain ~device:t.gpu_device
-          ~model_divergence:t.model_divergence ~uid:artifact.ga_uid (program t)
+          ~model_divergence:t.model_divergence ~uid:artifact.ga_uid t.simt
           ~chain ~output_ty dev_input
       in
       Metrics.add_gpu_kernel t.metrics_ ~ns:timing.Gpu.Simt.kernel_ns;
@@ -1383,7 +1387,7 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
         in
         let result, timing =
           Gpu.Simt.run_map ~device:t.gpu_device
-            ~model_divergence:t.model_divergence (program t) site chunk_args
+            ~model_divergence:t.model_divergence t.simt site chunk_args
         in
         let overhead = t.gpu_device.Gpu.Device.launch_overhead_ns in
         let ns =
@@ -1568,7 +1572,7 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
         let dev = slice_prim (gpu_ctx ()) ~offset:off ~len in
         let result, timing =
           Gpu.Simt.run_reduce ~device:t.gpu_device
-            ~model_divergence:t.model_divergence (program t) site dev
+            ~model_divergence:t.model_divergence t.simt site dev
         in
         let overhead = t.gpu_device.Gpu.Device.launch_overhead_ns in
         let ns =
