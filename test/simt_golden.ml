@@ -12,25 +12,6 @@ module I = Lime_ir.Interp
 module V = Wire.Value
 module A = Runtime.Artifact
 
-(* A canonical, exact rendering of a value: floats in hex. *)
-let rec canon b (v : V.t) =
-  let arr f a =
-    Buffer.add_char b '[';
-    Array.iter (fun x -> f x; Buffer.add_char b ',') a;
-    Buffer.add_char b ']'
-  in
-  match v with
-  | V.Float f -> Printf.bprintf b "%h" f
-  | V.Float_array a -> arr (Printf.bprintf b "%h") a
-  | V.Array a -> arr (canon b) a
-  | V.Tuple vs -> arr (canon b) (Array.of_list vs)
-  | v -> Buffer.add_string b (V.to_string v)
-
-let digest v =
-  let b = Buffer.create 1024 in
-  canon b v;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 let launch kind uid ~size f =
   Printf.printf "%s %s n=%d " kind uid size;
   match f () with
@@ -39,7 +20,7 @@ let launch kind uid ~size f =
       "items=%d mem_bytes=%d compute_cycles=%h kernel_ns=%h \
        avg_divergence_groups=%h out=%s\n"
       t.items t.mem_bytes t.compute_cycles t.kernel_ns t.avg_divergence_groups
-      (digest out)
+      (Golden.digest out)
   | exception (Gpu.Simt.Device_error m | I.Runtime_error m) ->
     Printf.printf "trap %s\n" m
 

@@ -147,22 +147,93 @@ let test_disassembler () =
   Alcotest.(check bool) "one-instruction body has load" true
     (Test_types.contains text "load 0")
 
-let test_vm_errors () =
-  let u =
-    compile
-      {|
-class C {
+(* Every trap keeps its exception constructor and its text, and the
+   instruction counts below are the ones the VM has always charged. *)
+let traps_src =
+  {|
+class T {
   local static int div(int a, int b) { return a / b; }
+  local static int get(int[[]] xs, int i) { return xs[i]; }
+  local static int put(int n, int i) { int[] xs = new int[n]; xs[i] = 7; return xs[0]; }
+  local static int fact(int n) { if (n <= 1) { return 1; } return n * fact(n - 1); }
+  local static int inc(int x) { return x + 1; }
+  local static int add(int a, int b) { return a + b; }
+  static int[[]] addAll(int[[]] xs, int[[]] ys) { return T @ add(xs, ys); }
+  static int sum(int[[]] xs) { return T @@ add(xs); }
+  static int sumInc(int[[]] xs) { var ys = T @ inc(xs); return T @@ add(ys); }
 }
 |}
+
+let ints a = prim (V.Int_array a)
+let int i = prim (V.Int i)
+
+let trap f =
+  match f () with
+  | (_ : Bytecode.Vm.result) -> "no trap"
+  | exception Bytecode.Vm.Vm_error m -> "Vm_error: " ^ m
+  | exception I.Runtime_error m -> "Runtime_error: " ^ m
+
+let test_vm_errors () =
+  let u = compile traps_src in
+  List.iter
+    (fun (what, expected, key, args) ->
+      Alcotest.(check string) what expected
+        (trap (fun () -> Bytecode.Vm.run u key args)))
+    [
+      "division by zero", "Runtime_error: division by zero", "T.div",
+      [ int 1; int 0 ];
+      "load out of bounds", "Runtime_error: array index 3 out of bounds (length 3)",
+      "T.get", [ ints [| 1; 2; 3 |]; int 3 ];
+      "store out of bounds",
+      "Runtime_error: array index 5 out of bounds (length 2)", "T.put",
+      [ int 2; int 5 ];
+      "missing function", "Vm_error: no function named T.nothere", "T.nothere", [];
+      "argument count", "Vm_error: T.div expects 2 argument(s), got 1", "T.div",
+      [ int 1 ];
+      "intrinsic on an int", "Vm_error: Math.sqrt expects one float argument",
+      "Math.sqrt", [ int 4 ];
+      "empty reduce", "Vm_error: reduce of an empty array", "T.sum", [ ints [||] ];
+      "map lengths", "Vm_error: mapped arrays have different lengths", "T.addAll",
+      [ ints [| 1; 2 |]; ints [| 1; 2; 3 |] ];
+    ]
+
+let test_vm_recursion_and_reuse () =
+  let u = compile traps_src in
+  let r = Bytecode.Vm.run u "T.fact" [ int 10 ] in
+  Alcotest.check interp_value "fact(10)" (int 3628800) r.value;
+  check_int "fact(10) instructions" 179 r.executed;
+  (* a trap leaves nothing behind for the next run *)
+  ignore (trap (fun () -> Bytecode.Vm.run u "T.div" [ int 1; int 0 ]));
+  let r = Bytecode.Vm.run u "T.div" [ int 7; int 2 ] in
+  Alcotest.check interp_value "div after a trap" (int 3) r.value;
+  check_int "div instructions" 6 r.executed
+
+(* A map hook that re-enters the VM once per element, as the runtime's
+   lowered map does: every run keeps its own count. *)
+let test_vm_reentrant_hook () =
+  let u = compile traps_src in
+  let inner = ref [] in
+  let on_map (desc : Bytecode.Insn.map_desc) args =
+    match args with
+    | [ I.Prim xs ] ->
+      let n = I.array_length xs in
+      let out = I.new_array desc.bm_elem_ty n in
+      for i = 0 to n - 1 do
+        let r = Bytecode.Vm.run u desc.bm_fn [ I.Prim (I.array_get xs i) ] in
+        inner := r.executed :: !inner;
+        I.array_set out i (I.prim_exn r.value)
+      done;
+      Some (I.Prim (I.freeze out))
+    | _ -> None
   in
-  (match Bytecode.Vm.run u "C.div" [ prim (V.Int 1); prim (V.Int 0) ] with
-  | exception I.Runtime_error _ -> ()
-  | exception Bytecode.Vm.Vm_error _ -> ()
-  | _ -> Alcotest.fail "expected a trap");
-  match Bytecode.Vm.run u "C.nothere" [] with
-  | exception Bytecode.Vm.Vm_error _ -> ()
-  | _ -> Alcotest.fail "expected missing-function error"
+  let xs = ints [| 1; 2; 3; 4 |] in
+  let hooked =
+    Bytecode.Vm.run ~hooks:{ Bytecode.Vm.no_hooks with on_map } u "T.sumInc" [ xs ]
+  in
+  Alcotest.check interp_value "hooked value" (int 14) hooked.value;
+  check_int "outer run" 28 hooked.executed;
+  Alcotest.(check (list int)) "inner runs" [ 6; 6; 6; 6 ] !inner;
+  check_int "unhooked run" 52 (Bytecode.Vm.run u "T.sumInc" [ xs ]).executed
 
 (* Property: for random inputs, VM and interpreter agree on a small
    arithmetic-heavy kernel. *)
@@ -204,5 +275,7 @@ let suite =
       Alcotest.test_case "instruction counting" `Quick test_instruction_counting;
       Alcotest.test_case "disassembler" `Quick test_disassembler;
       Alcotest.test_case "vm traps" `Quick test_vm_errors;
+      Alcotest.test_case "vm recursion and reuse" `Quick test_vm_recursion_and_reuse;
+      Alcotest.test_case "vm re-entrant hook" `Quick test_vm_reentrant_hook;
       QCheck_alcotest.to_alcotest prop_vm_matches_interp;
     ] )
