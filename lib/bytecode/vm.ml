@@ -20,15 +20,67 @@ let no_hooks =
 
 type result = { value : v; executed : int }
 
-type state = {
+(* A function activation's frame: its locals, then one slot per
+   operand-stack position. *)
+type frame = v array
+
+(* A bytecode function: its frame allocator and its body. The body
+   starts as a stub that specialises the code into closures on the
+   first call and replaces itself. *)
+type fn = {
+  code : Compile.code;
+  new_frame : unit -> frame;
+  mutable body : state -> frame -> v;
+}
+
+and callee =
+  | Fn of fn
+  | Intrinsic of (V.t list -> V.t)
+  | Missing of string
+
+and program = {
   unit_ : Compile.unit_;
+  fns : (string, callee) Hashtbl.t;
+  mutable last : string * callee;
+      (** the last key [run] resolved: the runtime calls one kernel
+          per element with the same key *)
+}
+
+(* One run: its hooks, its instruction count and its task graphs in
+   flight. Compiled code takes it as an argument rather than closing
+   over it, so a hook can re-enter the VM on the same program and that
+   run keeps its own count. *)
+and state = {
+  prog : program;
   hooks : hooks;
   mutable executed : int;
   mutable graph_counter : int;
   mutable pending : (int * (Ir.graph_template * v list)) list;
 }
 
+type code = state -> frame -> v
+
+let prepare unit_ = { unit_; fns = Hashtbl.create 16; last = "", Missing "" }
+
 let prim = I.prim_exn
+let unit_v = I.Prim V.Unit
+
+(* A frame allocator for [size] slots. [Array.make] is a C call that
+   costs more than a small kernel's body; the frames of small
+   functions are allocated inline instead. *)
+let frame_of_size size : unit -> frame =
+  let u = unit_v in
+  match size with
+  | 0 -> fun () -> [||]
+  | 1 -> fun () -> [| u |]
+  | 2 -> fun () -> [| u; u |]
+  | 3 -> fun () -> [| u; u; u |]
+  | 4 -> fun () -> [| u; u; u; u |]
+  | 5 -> fun () -> [| u; u; u; u; u |]
+  | 6 -> fun () -> [| u; u; u; u; u; u |]
+  | 7 -> fun () -> [| u; u; u; u; u; u; u |]
+  | 8 -> fun () -> [| u; u; u; u; u; u; u; u |]
+  | n -> fun () -> Array.make n u
 
 let as_int (x : v) =
   match x with
@@ -40,153 +92,143 @@ let as_bool (x : v) =
   | I.Prim (V.Bool b) -> b
   | _ -> fail "expected a boolean on the operand stack"
 
-(* Execute one function activation. The operand stack is a plain list;
-   locals are a dense array indexed by slot. *)
-let rec exec st (code : Compile.code) (args : v list) : v =
-  if List.length args <> code.c_params then
-    fail "%s expects %d argument(s), got %d" code.c_key code.c_params
-      (List.length args);
-  let locals = Array.make (max code.c_slots code.c_params) (I.Prim V.Unit) in
-  List.iteri (fun i a -> locals.(i) <- a) args;
-  let insns = code.c_insns in
-  let n = Array.length insns in
-  let rec step pc stack =
-    if pc >= n then
-      fail "%s fell off the end without returning a value" code.c_key;
-    st.executed <- st.executed + 1;
-    let continue = step (pc + 1) in
-    match insns.(pc), stack with
-    | Insn.CONST c, _ -> continue (I.Prim (I.const_value c) :: stack)
-    | Insn.LOAD slot, _ -> continue (locals.(slot) :: stack)
-    | Insn.STORE slot, x :: rest ->
-      locals.(slot) <- x;
-      continue rest
-    | Insn.DUP, x :: _ -> continue (x :: stack)
-    | Insn.POP, _ :: rest -> continue rest
-    | Insn.UNOP op, x :: rest ->
-      continue (I.Prim (I.eval_unop op (prim x)) :: rest)
-    | Insn.BINOP op, b :: a :: rest ->
-      continue (I.Prim (I.eval_binop op (prim a) (prim b)) :: rest)
-    | Insn.ALOAD, i :: a :: rest ->
-      continue (I.Prim (I.array_get (prim a) (as_int i)) :: rest)
-    | Insn.ASTORE, x :: i :: a :: rest ->
-      I.array_set (prim a) (as_int i) (prim x);
-      continue rest
-    | Insn.ALOAD_U, i :: a :: rest ->
-      continue (I.Prim (I.array_get_unchecked (prim a) (as_int i)) :: rest)
-    | Insn.ASTORE_U, x :: i :: a :: rest ->
-      I.array_set_unchecked (prim a) (as_int i) (prim x);
-      continue rest
-    | Insn.ALEN, a :: rest ->
-      continue (I.Prim (V.Int (I.array_length (prim a))) :: rest)
-    | Insn.NEWARR ty, len :: rest ->
-      continue (I.Prim (I.new_array ty (as_int len)) :: rest)
-    | Insn.FREEZE, a :: rest -> continue (I.Prim (I.freeze (prim a)) :: rest)
-    | Insn.GETFIELD slot, o :: rest -> (
-      match o with
-      | I.Obj obj -> continue (obj.I.obj_fields.(slot) :: rest)
-      | _ -> fail "getfield on a non-object")
-    | Insn.PUTFIELD slot, x :: o :: rest -> (
-      match o with
-      | I.Obj obj ->
-        obj.I.obj_fields.(slot) <- x;
-        continue rest
-      | _ -> fail "putfield on a non-object")
-    | Insn.NEW cls, _ -> (
-      match Ir.String_map.find_opt cls st.unit_.u_program.Ir.classes with
-      | None -> fail "no class named %s" cls
-      | Some meta ->
-        let fields =
-          Array.of_list
-            (List.map (fun (_, ty) -> I.default_value ty) meta.Ir.cm_fields)
-        in
-        continue (I.Obj { I.obj_class = cls; obj_fields = fields } :: stack))
-    | Insn.CALL (key, argc), _ ->
-      let rec take k acc rest =
-        if k = 0 then acc, rest
-        else
-          match rest with
-          | x :: rest -> take (k - 1) (x :: acc) rest
-          | [] -> fail "operand stack underflow calling %s" key
-      in
-      let args, rest = take argc [] stack in
-      continue (call st key args :: rest)
-    | Insn.RET, x :: _ -> x
-    | Insn.RETVOID, _ -> I.Prim V.Unit
-    | Insn.JMP t, _ -> step t stack
-    | Insn.JMPF t, c :: rest ->
-      if as_bool c then step (pc + 1) rest else step t rest
-    | Insn.MAP desc, _ ->
-      let argc = List.length desc.Insn.bm_flags in
-      let rec take k acc rest =
-        if k = 0 then acc, rest
-        else
-          match rest with
-          | x :: rest -> take (k - 1) (x :: acc) rest
-          | [] -> fail "operand stack underflow at map"
-      in
-      let args, rest = take argc [] stack in
-      let result =
-        match st.hooks.on_map desc args with
-        | Some r -> r
-        | None -> eval_map st desc args
-      in
-      step (pc + 1) (result :: rest)
-    | Insn.REDUCE desc, a :: rest ->
-      let result =
-        match st.hooks.on_reduce desc a with
-        | Some r -> r
-        | None -> eval_reduce st desc a
-      in
-      continue (result :: rest)
-    | Insn.MKGRAPH (uid, argc), _ ->
-      let template =
-        match Ir.String_map.find_opt uid st.unit_.u_program.Ir.templates with
-        | Some t -> t
-        | None -> fail "no task-graph template %s" uid
-      in
-      let rec take k acc rest =
-        if k = 0 then acc, rest
-        else
-          match rest with
-          | x :: rest -> take (k - 1) (x :: acc) rest
-          | [] -> fail "operand stack underflow at mkgraph"
-      in
-      let ops, rest = take argc [] stack in
-      st.graph_counter <- st.graph_counter + 1;
-      st.pending <- (st.graph_counter, (template, ops)) :: st.pending;
-      step (pc + 1) (I.Graph_handle st.graph_counter :: rest)
-    | Insn.RUNGRAPH blocking, g :: rest ->
-      (match g with
-      | I.Graph_handle h -> run_graph st h ~blocking
-      | _ -> fail "rungraph on a non-graph");
-      continue rest
-    | ( ( Insn.STORE _ | Insn.DUP | Insn.POP | Insn.UNOP _ | Insn.BINOP _
-        | Insn.ALOAD | Insn.ASTORE | Insn.ALOAD_U | Insn.ASTORE_U
-        | Insn.ALEN | Insn.NEWARR _ | Insn.FREEZE
-        | Insn.GETFIELD _ | Insn.PUTFIELD _ | Insn.RET | Insn.JMPF _
-        | Insn.REDUCE _ | Insn.RUNGRAPH _ ),
-        _ ) ->
-      fail "operand stack underflow in %s at %d" code.c_key pc
-  in
-  step 0 []
+let rec bind (fr : frame) i = function
+  | [] -> ()
+  | a :: rest ->
+    fr.(i) <- a;
+    bind fr (i + 1) rest
 
-and call st key args =
-  if Lime_ir.Intrinsics.is_intrinsic key then begin
+(* Where a pushed value lives while its block runs: a constant, or a
+   frame slot (a local, or an operand-stack position). *)
+type operand = Const of v | Slot of int
+
+let read = function
+  | Const x -> fun (_ : frame) -> x
+  | Slot i -> fun (fr : frame) -> fr.(i)
+
+(* A binary operation writing slot [d], specialised on where its
+   operands live. The right operand is unwrapped first, as it always
+   was, so a type error names the same operand. *)
+let binop op a b d (k : code) : code =
+  match a, b with
+  | Slot i, Slot j ->
+    fun st fr ->
+      let y = prim fr.(j) in
+      fr.(d) <- I.Prim (I.eval_binop op (prim fr.(i)) y);
+      k st fr
+  | Slot i, Const y ->
+    let y = prim y in
+    fun st fr ->
+      fr.(d) <- I.Prim (I.eval_binop op (prim fr.(i)) y);
+      k st fr
+  | a, b ->
+    let a = read a and b = read b in
+    fun st fr ->
+      let y = prim (b fr) in
+      fr.(d) <- I.Prim (I.eval_binop op (prim (a fr)) y);
+      k st fr
+
+(* Operands an instruction pops, and values it pushes. *)
+let stack_effect (i : Insn.t) =
+  match i with
+  | Insn.CONST _ | Insn.LOAD _ | Insn.NEW _ -> 0, 1
+  | Insn.RETVOID | Insn.JMP _ -> 0, 0
+  | Insn.STORE _ | Insn.POP | Insn.RET | Insn.JMPF _ | Insn.RUNGRAPH _ -> 1, 0
+  | Insn.DUP -> 1, 2
+  | Insn.UNOP _ | Insn.ALEN | Insn.NEWARR _ | Insn.FREEZE | Insn.GETFIELD _
+  | Insn.REDUCE _ ->
+    1, 1
+  | Insn.BINOP _ | Insn.ALOAD | Insn.ALOAD_U -> 2, 1
+  | Insn.PUTFIELD _ -> 2, 0
+  | Insn.ASTORE | Insn.ASTORE_U -> 3, 0
+  | Insn.CALL (_, n) | Insn.MKGRAPH (_, n) -> n, 1
+  | Insn.MAP d -> List.length d.Insn.bm_flags, 1
+
+(* The operand-stack depth before each instruction ([-1] where
+   unreachable; index [n] is falling off the end), and the deepest
+   stack. An instruction that would underflow traps, so nothing
+   follows it. *)
+let stack_depths (c : Compile.code) =
+  let insns = c.c_insns in
+  let n = Array.length insns in
+  let depth = Array.make (n + 1) (-1) and deepest = ref 0 in
+  let rec visit pc d =
+    let pc = min pc n in
+    if depth.(pc) < 0 then begin
+      depth.(pc) <- d;
+      if pc < n then
+        let pops, pushes = stack_effect insns.(pc) in
+        if d >= pops then begin
+          let d' = d - pops + pushes in
+          deepest := max !deepest d';
+          match insns.(pc) with
+          | Insn.RET | Insn.RETVOID -> ()
+          | Insn.JMP t -> visit t d'
+          | Insn.JMPF t ->
+            visit (pc + 1) d';
+            visit t d'
+          | _ -> visit (pc + 1) d'
+        end
+    end
+    else if pc < n && depth.(pc) <> d then
+      fail "%s: inconsistent operand stack depth at %d" c.c_key pc
+  in
+  visit 0 0;
+  depth, !deepest
+
+(* Look [key] up once per program. Intrinsics win over functions, as
+   they always have; a missing function traps only when called. *)
+let rec resolve p key : callee =
+  match Hashtbl.find_opt p.fns key with
+  | Some c -> c
+  | None ->
+    let c =
+      if Lime_ir.Intrinsics.is_intrinsic key then
+        Intrinsic (Lime_ir.Intrinsics.resolve key)
+      else
+        match Ir.String_map.find_opt key p.unit_.Compile.u_funcs with
+        | None -> Missing key
+        | Some code ->
+          let depths, deepest = stack_depths code in
+          let f =
+            {
+              code;
+              new_frame = frame_of_size (max code.c_slots code.c_params + deepest);
+              body = (fun _ _ -> unit_v);
+            }
+          in
+          f.body <-
+            (fun st fr ->
+              let body = specialise p f depths in
+              f.body <- body;
+              body st fr);
+          Fn f
+    in
+    Hashtbl.add p.fns key c;
+    c
+
+(* Enter [callee] from the host side (a run, an inline map or reduce,
+   a graph filter), with the arity check a call has always made. *)
+and invoke st (c : callee) (args : v list) : v =
+  match c with
+  | Intrinsic apply -> (
     (* one dispatch charge for the intrinsic call *)
     st.executed <- st.executed + 1;
-    match Lime_ir.Intrinsics.apply key (List.map prim args) with
+    match apply (List.map prim args) with
     | v -> I.Prim v
-    | exception Lime_ir.Intrinsics.Error m -> fail "%s" m
-  end
-  else
-    match Ir.String_map.find_opt key st.unit_.Compile.u_funcs with
-    | Some code -> exec st code args
-    | None -> fail "no function named %s" key
+    | exception Lime_ir.Intrinsics.Error m -> fail "%s" m)
+  | Missing key -> fail "no function named %s" key
+  | Fn f ->
+    let n = List.length args in
+    if n <> f.code.c_params then
+      fail "%s expects %d argument(s), got %d" f.code.c_key f.code.c_params n;
+    let fr = f.new_frame () in
+    bind fr 0 args;
+    f.body st fr
 
-(* Inline map: a bytecode loop in spirit; each element application is
-   a real VM call so the instruction count reflects interpretation. *)
-and eval_map st (desc : Insn.map_desc) (args : v list) : v =
+(* Inline map: each element application is a real VM call, so the
+   instruction count reflects interpretation. *)
+and eval_map st callee (desc : Insn.map_desc) (args : v list) : v =
   let pairs = List.combine args desc.bm_flags in
   let lengths =
     List.filter_map
@@ -210,17 +252,17 @@ and eval_map st (desc : Insn.map_desc) (args : v list) : v =
           if mapped then I.Prim (I.array_get (prim a) i) else a)
         pairs
     in
-    I.array_set result i (prim (call st desc.bm_fn call_args))
+    I.array_set result i (prim (invoke st callee call_args))
   done;
   I.Prim (I.freeze result)
 
-and eval_reduce st (desc : Insn.reduce_desc) (arg : v) : v =
+and eval_reduce st callee (arg : v) : v =
   let p = prim arg in
   let n = I.array_length p in
   if n = 0 then fail "reduce of an empty array";
   let acc = ref (I.Prim (I.array_get p 0)) in
   for i = 1 to n - 1 do
-    acc := call st desc.br_fn [ !acc; I.Prim (I.array_get p i) ]
+    acc := invoke st callee [ !acc; I.Prim (I.array_get p i) ]
   done;
   !acc
 
@@ -270,8 +312,9 @@ and run_graph_seq st (template : Ir.graph_template) (ops : v list) : unit =
   in
   let apply (f : Ir.filter_info) fops x =
     match f.Ir.target, fops with
-    | Ir.F_static key, [] -> call st key [ x ]
-    | Ir.F_instance (cls, m), [ recv ] -> call st (cls ^ "." ^ m) [ recv; x ]
+    | Ir.F_static key, [] -> invoke st (resolve st.prog key) [ x ]
+    | Ir.F_instance (cls, m), [ recv ] ->
+      invoke st (resolve st.prog (cls ^ "." ^ m)) [ recv; x ]
     | _ -> fail "malformed filter operands"
   in
   for i = 0 to I.array_length source - 1 do
@@ -280,7 +323,341 @@ and run_graph_seq st (template : Ir.graph_template) (ops : v list) : unit =
     I.array_set sink i (prim !x)
   done
 
-let run ?(hooks = no_hooks) (unit_ : Compile.unit_) key args =
-  let st = { unit_; hooks; executed = 0; graph_counter = 0; pending = [] } in
-  let value = call st key args in
+(* Specialise one function into closures, one chain per basic block.
+
+   The stack depth at every instruction is static, so each operand-stack
+   position is a frame slot after the locals. Within a block the stack
+   is symbolic: a [load] or [const] pushes the operand itself and its
+   consumer reads the local or the constant directly, and an operation
+   followed by a [store] writes straight into the stored local. A
+   deferred [load] of a local is copied into its stack slot before that
+   local is written, and every operand is in its stack slot at a block
+   boundary.
+
+   Counts are charged per block, when the block leaves: a run's count
+   leaves [run] only on a normal return, so this is exactly the
+   per-instruction count. Callees, classes and templates resolve here,
+   once; what fails to resolve traps when executed, with the text and
+   at the point the instruction always trapped. *)
+and specialise p (f : fn) depths : code =
+  let c = f.code in
+  let insns = c.Compile.c_insns in
+  let n = Array.length insns in
+  let nl = max c.c_slots c.c_params in
+  let leader = Array.make (n + 1) false in
+  leader.(0) <- true;
+  Array.iteri
+    (fun pc i ->
+      if depths.(pc) >= 0 then
+        match i with
+        | Insn.JMP t -> leader.(min t n) <- true
+        | Insn.JMPF t ->
+          leader.(min t n) <- true;
+          leader.(pc + 1) <- true
+        | _ -> ())
+    insns;
+  let fell_off : code =
+   fun _ _ -> fail "%s fell off the end without returning a value" c.c_key
+  in
+  (* a jump reads its target when taken, so blocks may refer to each
+     other in any order; a jump to the end falls off it *)
+  let blocks = Array.make (n + 1) fell_off in
+  let block start : code =
+    let nins = ref 0 in
+    (* the symbolic stack, top first, and the emitted code in reverse;
+       each emitter takes the code that follows it *)
+    let stack =
+      ref (List.init depths.(start) (fun k -> Slot (nl + depths.(start) - 1 - k)))
+    in
+    let emitted = ref [] in
+    let emit e = emitted := e :: !emitted in
+    let pop () =
+      match !stack with
+      | x :: rest ->
+        stack := rest;
+        x
+      | [] -> assert false
+    in
+    (* the top [k] operands, deepest first *)
+    let pops k =
+      let rec go k acc = if k = 0 then acc else go (k - 1) (pop () :: acc) in
+      go k []
+    in
+    (* copy each stack entry that satisfies [moved] into its own slot *)
+    let spill moved =
+      let depth = List.length !stack in
+      stack :=
+        List.mapi
+          (fun k o ->
+            let home = nl + depth - 1 - k in
+            match o with
+            | Slot i when i = home -> o
+            | o when moved o ->
+              let r = read o in
+              emit (fun (next : code) : code ->
+                  fun st fr ->
+                    fr.(home) <- r fr;
+                    next st fr);
+              Slot home
+            | o -> o)
+          !stack
+    in
+    let settle () = spill (fun _ -> true) in
+    let reads s = function Slot i -> i = s | Const _ -> false in
+    (* leaving the block charges its instructions *)
+    let jump t : code =
+      let t = min t n and k = !nins in
+      fun st fr ->
+        st.executed <- st.executed + k;
+        blocks.(t) st fr
+    in
+    (* The slot a value produced at [pc] goes to: the local a
+       following [store] names, or the new top of the stack. Returns
+       the pc after the producer (and its store). *)
+    let dest pc =
+      match if pc + 1 < n && not leader.(pc + 1) then insns.(pc + 1) else Insn.POP with
+      | Insn.STORE s ->
+        incr nins;
+        spill (reads s);
+        s, pc + 2
+      | _ ->
+        let d = nl + List.length !stack in
+        stack := Slot d :: !stack;
+        d, pc + 1
+    in
+    (* an operation that writes its value into the slot it is given *)
+    let produce pc (op : int -> code -> code) =
+      let d, next = dest pc in
+      emit (op d);
+      next
+    in
+    let underflow pc : code =
+      match insns.(pc) with
+      | Insn.CALL (key, _) -> fun _ _ -> fail "operand stack underflow calling %s" key
+      | Insn.MAP _ -> fun _ _ -> fail "operand stack underflow at map"
+      | Insn.MKGRAPH (uid, _)
+        when not (Ir.String_map.mem uid p.unit_.u_program.Ir.templates) ->
+        fun _ _ -> fail "no task-graph template %s" uid
+      | Insn.MKGRAPH _ -> fun _ _ -> fail "operand stack underflow at mkgraph"
+      | _ -> fun _ _ -> fail "operand stack underflow in %s at %d" c.c_key pc
+    in
+    let rec go pc : code =
+      if pc >= n then fell_off
+      else if pc > start && leader.(pc) then begin
+        settle ();
+        jump pc
+      end
+      else if List.length !stack < fst (stack_effect insns.(pc)) then underflow pc
+      else begin
+        incr nins;
+        match insns.(pc) with
+        | Insn.CONST k ->
+          stack := Const (I.Prim (I.const_value k)) :: !stack;
+          go (pc + 1)
+        | Insn.LOAD s ->
+          stack := Slot s :: !stack;
+          go (pc + 1)
+        | Insn.STORE s ->
+          let x = read (pop ()) in
+          spill (reads s);
+          emit (fun k st fr ->
+              fr.(s) <- x fr;
+              k st fr);
+          go (pc + 1)
+        | Insn.DUP ->
+          let x = pop () in
+          stack := x :: x :: !stack;
+          go (pc + 1)
+        | Insn.POP ->
+          ignore (pop ());
+          go (pc + 1)
+        | Insn.UNOP op ->
+          let a = read (pop ()) in
+          go
+            (produce pc (fun d k st fr ->
+                 fr.(d) <- I.Prim (I.eval_unop op (prim (a fr)));
+                 k st fr))
+        | Insn.BINOP op ->
+          let b = pop () in
+          let a = pop () in
+          go (produce pc (binop op a b))
+        | (Insn.ALOAD | Insn.ALOAD_U) as i ->
+          let get =
+            if i = Insn.ALOAD then I.array_get else I.array_get_unchecked
+          in
+          let idx = read (pop ()) in
+          let a = read (pop ()) in
+          go
+            (produce pc (fun d k st fr ->
+                 let idx = as_int (idx fr) in
+                 fr.(d) <- I.Prim (get (prim (a fr)) idx);
+                 k st fr))
+        | (Insn.ASTORE | Insn.ASTORE_U) as i ->
+          let set =
+            if i = Insn.ASTORE then I.array_set else I.array_set_unchecked
+          in
+          let x = read (pop ()) in
+          let idx = read (pop ()) in
+          let a = read (pop ()) in
+          emit (fun k st fr ->
+              let x = prim (x fr) in
+              let idx = as_int (idx fr) in
+              set (prim (a fr)) idx x;
+              k st fr);
+          go (pc + 1)
+        | Insn.ALEN ->
+          let a = read (pop ()) in
+          go
+            (produce pc (fun d k st fr ->
+                 fr.(d) <- I.Prim (V.Int (I.array_length (prim (a fr))));
+                 k st fr))
+        | Insn.NEWARR ty ->
+          let len = read (pop ()) in
+          go
+            (produce pc (fun d k st fr ->
+                 fr.(d) <- I.Prim (I.new_array ty (as_int (len fr)));
+                 k st fr))
+        | Insn.FREEZE ->
+          let a = read (pop ()) in
+          go
+            (produce pc (fun d k st fr ->
+                 fr.(d) <- I.Prim (I.freeze (prim (a fr)));
+                 k st fr))
+        | Insn.GETFIELD slot ->
+          let o = read (pop ()) in
+          go
+            (produce pc (fun d k st fr ->
+                 (match o fr with
+                 | I.Obj obj -> fr.(d) <- obj.I.obj_fields.(slot)
+                 | _ -> fail "getfield on a non-object");
+                 k st fr))
+        | Insn.PUTFIELD slot ->
+          let x = read (pop ()) in
+          let o = read (pop ()) in
+          emit (fun k st fr ->
+              (match o fr with
+              | I.Obj obj -> obj.I.obj_fields.(slot) <- x fr
+              | _ -> fail "putfield on a non-object");
+              k st fr);
+          go (pc + 1)
+        | Insn.NEW cls -> (
+          match Ir.String_map.find_opt cls p.unit_.u_program.Ir.classes with
+          | None -> fun _ _ -> fail "no class named %s" cls
+          | Some meta ->
+            let tys = Array.of_list (List.map snd meta.Ir.cm_fields) in
+            go
+              (produce pc (fun d k st fr ->
+                   fr.(d) <-
+                     I.Obj
+                       { I.obj_class = cls; obj_fields = Array.map I.default_value tys };
+                   k st fr)))
+        | Insn.CALL (key, argc) -> (
+          let args = Array.of_list (List.map read (pops argc)) in
+          match resolve p key with
+          | Missing key -> fun _ _ -> fail "no function named %s" key
+          | Intrinsic apply ->
+            go
+              (produce pc (fun d k st fr ->
+                   st.executed <- st.executed + 1;
+                   (match
+                      apply (Array.to_list (Array.map (fun a -> prim (a fr)) args))
+                    with
+                   | v -> fr.(d) <- I.Prim v
+                   | exception Lime_ir.Intrinsics.Error m -> fail "%s" m);
+                   k st fr))
+          | Fn g when g.code.c_params <> argc ->
+            fun _ _ ->
+              fail "%s expects %d argument(s), got %d" key g.code.c_params argc
+          | Fn g ->
+            go
+              (produce pc (fun d k st fr ->
+                   let callee = g.new_frame () in
+                   for j = 0 to argc - 1 do
+                     callee.(j) <- args.(j) fr
+                   done;
+                   fr.(d) <- g.body st callee;
+                   k st fr)))
+        | Insn.RET ->
+          let x = read (pop ()) and k = !nins in
+          fun st fr ->
+            st.executed <- st.executed + k;
+            x fr
+        | Insn.RETVOID ->
+          let k = !nins in
+          fun st _ ->
+            st.executed <- st.executed + k;
+            unit_v
+        | Insn.JMP t ->
+          settle ();
+          jump t
+        | Insn.JMPF t ->
+          let cond = read (pop ()) in
+          settle ();
+          let yes = pc + 1 and no = min t n and k = !nins in
+          fun st fr ->
+            st.executed <- st.executed + k;
+            if as_bool (cond fr) then blocks.(yes) st fr else blocks.(no) st fr
+        | Insn.MAP desc ->
+          let args = List.map read (pops (List.length desc.bm_flags)) in
+          let callee = resolve p desc.bm_fn in
+          go
+            (produce pc (fun d k st fr ->
+                 let args = List.map (fun a -> a fr) args in
+                 fr.(d) <-
+                   (match st.hooks.on_map desc args with
+                   | Some r -> r
+                   | None -> eval_map st callee desc args);
+                 k st fr))
+        | Insn.REDUCE desc ->
+          let a = read (pop ()) in
+          let callee = resolve p desc.br_fn in
+          go
+            (produce pc (fun d k st fr ->
+                 let a = a fr in
+                 fr.(d) <-
+                   (match st.hooks.on_reduce desc a with
+                   | Some r -> r
+                   | None -> eval_reduce st callee a);
+                 k st fr))
+        | Insn.MKGRAPH (uid, argc) -> (
+          match Ir.String_map.find_opt uid p.unit_.u_program.Ir.templates with
+          | None -> fun _ _ -> fail "no task-graph template %s" uid
+          | Some template ->
+            let ops = List.map read (pops argc) in
+            go
+              (produce pc (fun d k st fr ->
+                   let ops = List.map (fun o -> o fr) ops in
+                   st.graph_counter <- st.graph_counter + 1;
+                   st.pending <- (st.graph_counter, (template, ops)) :: st.pending;
+                   fr.(d) <- I.Graph_handle st.graph_counter;
+                   k st fr)))
+        | Insn.RUNGRAPH blocking ->
+          let g = read (pop ()) in
+          emit (fun k st fr ->
+              (match g fr with
+              | I.Graph_handle h -> run_graph st h ~blocking
+              | _ -> fail "rungraph on a non-graph");
+              k st fr);
+          go (pc + 1)
+      end
+    in
+    let last = go start in
+    List.fold_left (fun k e -> e k) last !emitted
+  in
+  for pc = n - 1 downto 0 do
+    if leader.(pc) && depths.(pc) >= 0 then blocks.(pc) <- block pc
+  done;
+  blocks.(0)
+
+let run ?(hooks = no_hooks) p key args =
+  let callee =
+    match p.last with
+    | last, c when last == key -> c
+    | _ ->
+      let c = resolve p key in
+      p.last <- key, c;
+      c
+  in
+  let st = { prog = p; hooks; executed = 0; graph_counter = 0; pending = [] } in
+  let value = invoke st callee args in
   { value; executed = st.executed }

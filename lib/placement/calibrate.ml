@@ -32,6 +32,7 @@ type ctx = {
   cx_engine : Exec.t;
       (** scratch engine for microbenchmarks: default device models,
           private metrics *)
+  cx_vm : Bytecode.Vm.program;  (** the VM microbenchmark's program *)
   cx_fresh : (string, unit) Hashtbl.t;
       (** keys this context calibrated itself: re-looking one up is
           neither a store hit nor a recalibration *)
@@ -52,6 +53,7 @@ let create ?profile_store (compiled : Liquid_metal.Compiler.compiled) =
     cx_compiled = compiled;
     cx_store = store;
     cx_engine = Liquid_metal.Compiler.engine compiled;
+    cx_vm = Bytecode.Vm.prepare compiled.unit_;
     cx_fresh = Hashtbl.create 32;
     cx_hits = 0;
     cx_calibrated = 0;
@@ -266,7 +268,6 @@ let measure_artifact ctx (artifact : Artifact.t) chain ~input_ty =
    filters run against fabricated receivers, matching the engine's
    [receiver; element] calling convention. *)
 let measure_vm ctx chain ~receivers ~input_ty =
-  let unit_ = ctx.cx_compiled.Liquid_metal.Compiler.unit_ in
   let samples = 8 in
   let executed = ref 0 in
   for i = 0 to samples - 1 do
@@ -278,7 +279,7 @@ let measure_vm ctx chain ~receivers ~input_ty =
           | Some r -> [ r; I.Prim !x ]
           | None -> [ I.Prim !x ]
         in
-        let r = Bytecode.Vm.run unit_ (fn_key f) args in
+        let r = Bytecode.Vm.run ctx.cx_vm (fn_key f) args in
         executed := !executed + r.Bytecode.Vm.executed;
         x := I.prim_exn r.Bytecode.Vm.value)
       chain receivers

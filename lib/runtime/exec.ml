@@ -22,6 +22,9 @@ type t = {
           fault recovery re-plans with fusion off to unfuse a faulted
           run per stage *)
   gpu_device : Gpu.Device.t;
+  vm : Bytecode.Vm.program;
+      (** the program's bytecode, specialised for the VM function by
+          function on first call *)
   simt : Gpu.Simt.program;
       (** the program's device functions, compiled once for the SIMT
           simulator on first launch *)
@@ -84,6 +87,7 @@ let create ?(policy = Substitute.Prefer_accelerators) ?(fuse = true)
     policy_ = policy;
     fuse_ = fuse;
     gpu_device;
+    vm = Bytecode.Vm.prepare unit_;
     simt = Gpu.Simt.prepare unit_.Bytecode.Compile.u_program;
     fpga_clock_ns;
     fifo_capacity;
@@ -345,7 +349,7 @@ let bytecode_filter_actor t ((f : Ir.filter_info), receiver) inp out =
           | Some r -> [ r; I.Prim x ]
           | None -> [ I.Prim x ]
         in
-        let r = Bytecode.Vm.run t.unit_ key args in
+        let r = Bytecode.Vm.run t.vm key args in
         Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
         I.prim_exn r.Bytecode.Vm.value)
   in
@@ -454,7 +458,7 @@ let native_batch t (artifact : Artifact.native_artifact)
           | Some r -> [ r; I.Prim x ]
           | None -> [ I.Prim x ]
         in
-        let r = Bytecode.Vm.run t.unit_ (filter_fn_key f) args in
+        let r = Bytecode.Vm.run t.vm (filter_fn_key f) args in
         Metrics.add_native_instructions t.metrics_ r.Bytecode.Vm.executed;
         I.prim_exn r.Bytecode.Vm.value
       in
@@ -605,7 +609,7 @@ let bytecode_apply_batch t ((f : Ir.filter_info), receiver) xs =
             | Some r -> [ r; I.Prim x ]
             | None -> [ I.Prim x ]
           in
-          let r = Bytecode.Vm.run t.unit_ key args in
+          let r = Bytecode.Vm.run t.vm key args in
           Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
           I.prim_exn r.Bytecode.Vm.value))
     xs
@@ -1370,7 +1374,7 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
                 else a)
               pairs
           in
-          let r = Bytecode.Vm.run t.unit_ lw.Lmr.lw_fn elt_args in
+          let r = Bytecode.Vm.run t.vm lw.Lmr.lw_fn elt_args in
           Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
           I.array_set out j (I.prim_exn r.Bytecode.Vm.value)
         done;
@@ -1413,7 +1417,7 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
                 | `Host a -> a)
               shipped
           in
-          let r = Bytecode.Vm.run t.unit_ lw.Lmr.lw_fn elt_args in
+          let r = Bytecode.Vm.run t.vm lw.Lmr.lw_fn elt_args in
           Metrics.add_native_instructions t.metrics_ r.Bytecode.Vm.executed;
           I.array_set out j (I.prim_exn r.Bytecode.Vm.value)
         done;
@@ -1555,7 +1559,7 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
     let acc = ref (I.Prim (I.array_get arr off)) in
     for j = 1 to len - 1 do
       let r =
-        Bytecode.Vm.run t.unit_ lw.Lmr.lw_fn
+        Bytecode.Vm.run t.vm lw.Lmr.lw_fn
           [ !acc; I.Prim (I.array_get arr (off + j)) ]
       in
       account r.Bytecode.Vm.executed;
@@ -1660,7 +1664,7 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
       let combine a b =
         let r =
           Trace.with_span ~cat:"vm" ("bc:" ^ uid) (fun () ->
-              Bytecode.Vm.run t.unit_ lw.Lmr.lw_fn [ a; b ])
+              Bytecode.Vm.run t.vm lw.Lmr.lw_fn [ a; b ])
         in
         Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
         r.Bytecode.Vm.value
@@ -1788,7 +1792,7 @@ let hooks t : Bytecode.Vm.hooks =
    these roots (self-time is host bytecode interpretation). *)
 let call t key args =
   Trace.with_span ~cat:"run" ("run:" ^ key) (fun () ->
-      let r = Bytecode.Vm.run ~hooks:(hooks t) t.unit_ key args in
+      let r = Bytecode.Vm.run ~hooks:(hooks t) t.vm key args in
       Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
       r.Bytecode.Vm.value)
 

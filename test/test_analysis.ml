@@ -395,8 +395,9 @@ let test_symbolic_bytecode_unchecked () =
   check_bool "off-by-one stays checked" false
     (Test_types.contains (disasm "S.offByOne") "aload.u");
   let xs = Lime_ir.Interp.Prim (Wire.Value.Int_array [| 3; 5; 7; 11 |]) in
-  let checked = Bytecode.Vm.run (Bytecode.Compile.compile_program prog) "S.sum" [ xs ] in
-  let unchecked = Bytecode.Vm.run unit_ "S.sum" [ xs ] in
+  let run u = Bytecode.Vm.run (Bytecode.Vm.prepare u) "S.sum" [ xs ] in
+  let checked = run (Bytecode.Compile.compile_program prog) in
+  let unchecked = run unit_ in
   check_bool "unchecked value identical" true
     (checked.Bytecode.Vm.value = unchecked.Bytecode.Vm.value)
 

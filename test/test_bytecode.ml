@@ -24,7 +24,7 @@ let interp_value = Alcotest.testable I.pp (fun a b ->
 (* Run the same entry point on the VM and the interpreter and require
    identical results. *)
 let differential unit_ key args =
-  let vm = (Bytecode.Vm.run unit_ key args).value in
+  let vm = (Bytecode.Vm.run (Bytecode.Vm.prepare unit_) key args).value in
   let ref_ = I.call unit_.Bytecode.Compile.u_program key args in
   Alcotest.check interp_value (key ^ " (vm = interp)") ref_ vm;
   vm
@@ -126,8 +126,9 @@ class C {
 }
 |}
   in
-  let r10 = Bytecode.Vm.run u "C.sumTo" [ prim (V.Int 10) ] in
-  let r100 = Bytecode.Vm.run u "C.sumTo" [ prim (V.Int 100) ] in
+  let p = Bytecode.Vm.prepare u in
+  let r10 = Bytecode.Vm.run p "C.sumTo" [ prim (V.Int 10) ] in
+  let r100 = Bytecode.Vm.run p "C.sumTo" [ prim (V.Int 100) ] in
   (match r100.value with
   | I.Prim (V.Int 5050) -> ()
   | v -> Alcotest.failf "sumTo(100): %a" I.pp v);
@@ -135,7 +136,7 @@ class C {
     "instruction count scales with work" true
     (r100.executed > 5 * r10.executed);
   check_int "deterministic count" r10.executed
-    (Bytecode.Vm.run u "C.sumTo" [ prim (V.Int 10) ]).executed
+    (Bytecode.Vm.run p "C.sumTo" [ prim (V.Int 10) ]).executed
 
 let test_disassembler () =
   let code =
@@ -174,11 +175,11 @@ let trap f =
   | exception I.Runtime_error m -> "Runtime_error: " ^ m
 
 let test_vm_errors () =
-  let u = compile traps_src in
+  let p = Bytecode.Vm.prepare (compile traps_src) in
   List.iter
     (fun (what, expected, key, args) ->
       Alcotest.(check string) what expected
-        (trap (fun () -> Bytecode.Vm.run u key args)))
+        (trap (fun () -> Bytecode.Vm.run p key args)))
     [
       "division by zero", "Runtime_error: division by zero", "T.div",
       [ int 1; int 0 ];
@@ -197,21 +198,78 @@ let test_vm_errors () =
       [ ints [| 1; 2 |]; ints [| 1; 2; 3 |] ];
     ]
 
+(* Hand-assembled code reaches the traps the compiler never emits. *)
+let test_vm_hand_traps () =
+  let module Insn = Bytecode.Insn in
+  let base = compile Test_syntax.figure1_source in
+  let base =
+    if Ir.String_map.is_empty base.u_program.Ir.templates then
+      Alcotest.fail "figure 1 has no task graph"
+    else base
+  in
+  let uid, _ = Ir.String_map.choose base.u_program.Ir.templates in
+  let i32 n = Insn.CONST (Ir.C_i32 n) in
+  let hand =
+    [
+      "H.under", [ i32 1; Insn.BINOP Ir.Add_i; Insn.RET ],
+      "Vm_error: operand stack underflow in H.under at 1";
+      "H.fall", [ i32 1; Insn.POP ],
+      "Vm_error: H.fall fell off the end without returning a value";
+      "H.types", [ Insn.CONST (Ir.C_bool true); i32 1; Insn.BINOP Ir.Add_i; Insn.RET ],
+      "Runtime_error: bad binary operands boolean, int";
+      "H.cond", [ i32 1; Insn.JMPF 0; Insn.RETVOID ],
+      "Vm_error: expected a boolean on the operand stack";
+      "H.callunder", [ i32 1; Insn.CALL ("H.fall", 2); Insn.RET ],
+      "Vm_error: operand stack underflow calling H.fall";
+      "H.arity", [ i32 1; Insn.CALL ("H.fall", 1); Insn.RET ],
+      "Vm_error: H.fall expects 0 argument(s), got 1";
+      "H.stale",
+      [ Insn.MKGRAPH (uid, 0); Insn.DUP; Insn.RUNGRAPH true; Insn.RUNGRAPH true; Insn.RETVOID ],
+      "Vm_error: stale task-graph handle";
+      "H.nongraph", [ i32 1; Insn.RUNGRAPH true; Insn.RETVOID ],
+      "Vm_error: rungraph on a non-graph";
+    ]
+  in
+  let code key insns =
+    {
+      Bytecode.Compile.c_key = key;
+      c_insns = Array.of_list insns;
+      c_slots = 0;
+      c_params = 0;
+      c_ret = Ir.I32;
+    }
+  in
+  let funcs =
+    List.fold_left
+      (fun m (key, insns, _) -> Ir.String_map.add key (code key insns) m)
+      base.u_funcs hand
+  in
+  let p = Bytecode.Vm.prepare { base with Bytecode.Compile.u_funcs = funcs } in
+  (* every graph counts as run, so a second run of one handle is stale *)
+  let hooks =
+    { Bytecode.Vm.no_hooks with on_run_graph = Some (fun _ _ ~blocking:_ -> true) }
+  in
+  List.iter
+    (fun (key, _, expected) ->
+      Alcotest.(check string) key expected
+        (trap (fun () -> Bytecode.Vm.run ~hooks p key [])))
+    hand
+
 let test_vm_recursion_and_reuse () =
-  let u = compile traps_src in
-  let r = Bytecode.Vm.run u "T.fact" [ int 10 ] in
+  let p = Bytecode.Vm.prepare (compile traps_src) in
+  let r = Bytecode.Vm.run p "T.fact" [ int 10 ] in
   Alcotest.check interp_value "fact(10)" (int 3628800) r.value;
   check_int "fact(10) instructions" 179 r.executed;
   (* a trap leaves nothing behind for the next run *)
-  ignore (trap (fun () -> Bytecode.Vm.run u "T.div" [ int 1; int 0 ]));
-  let r = Bytecode.Vm.run u "T.div" [ int 7; int 2 ] in
+  ignore (trap (fun () -> Bytecode.Vm.run p "T.div" [ int 1; int 0 ]));
+  let r = Bytecode.Vm.run p "T.div" [ int 7; int 2 ] in
   Alcotest.check interp_value "div after a trap" (int 3) r.value;
   check_int "div instructions" 6 r.executed
 
 (* A map hook that re-enters the VM once per element, as the runtime's
    lowered map does: every run keeps its own count. *)
 let test_vm_reentrant_hook () =
-  let u = compile traps_src in
+  let p = Bytecode.Vm.prepare (compile traps_src) in
   let inner = ref [] in
   let on_map (desc : Bytecode.Insn.map_desc) args =
     match args with
@@ -219,7 +277,7 @@ let test_vm_reentrant_hook () =
       let n = I.array_length xs in
       let out = I.new_array desc.bm_elem_ty n in
       for i = 0 to n - 1 do
-        let r = Bytecode.Vm.run u desc.bm_fn [ I.Prim (I.array_get xs i) ] in
+        let r = Bytecode.Vm.run p desc.bm_fn [ I.Prim (I.array_get xs i) ] in
         inner := r.executed :: !inner;
         I.array_set out i (I.prim_exn r.value)
       done;
@@ -228,12 +286,12 @@ let test_vm_reentrant_hook () =
   in
   let xs = ints [| 1; 2; 3; 4 |] in
   let hooked =
-    Bytecode.Vm.run ~hooks:{ Bytecode.Vm.no_hooks with on_map } u "T.sumInc" [ xs ]
+    Bytecode.Vm.run ~hooks:{ Bytecode.Vm.no_hooks with on_map } p "T.sumInc" [ xs ]
   in
   Alcotest.check interp_value "hooked value" (int 14) hooked.value;
   check_int "outer run" 28 hooked.executed;
   Alcotest.(check (list int)) "inner runs" [ 6; 6; 6; 6 ] !inner;
-  check_int "unhooked run" 52 (Bytecode.Vm.run u "T.sumInc" [ xs ]).executed
+  check_int "unhooked run" 52 (Bytecode.Vm.run p "T.sumInc" [ xs ]).executed
 
 (* Property: for random inputs, VM and interpreter agree on a small
    arithmetic-heavy kernel. *)
@@ -255,11 +313,12 @@ class Mix {
 
 let prop_vm_matches_interp =
   let u = compile mix_src in
+  let p = Bytecode.Vm.prepare u in
   QCheck2.Test.make ~name:"vm: agrees with interpreter on Mix.mix" ~count:300
     QCheck2.Gen.(pair (int_range (-10000) 10000) (int_range (-10000) 10000))
     (fun (a, b) ->
       let args = [ prim (V.Int a); prim (V.Int b) ] in
-      let vm = (Bytecode.Vm.run u "Mix.mix" args).value in
+      let vm = (Bytecode.Vm.run p "Mix.mix" args).value in
       let ref_ = I.call u.Bytecode.Compile.u_program "Mix.mix" args in
       match vm, ref_ with
       | I.Prim x, I.Prim y -> V.equal x y
@@ -275,6 +334,7 @@ let suite =
       Alcotest.test_case "instruction counting" `Quick test_instruction_counting;
       Alcotest.test_case "disassembler" `Quick test_disassembler;
       Alcotest.test_case "vm traps" `Quick test_vm_errors;
+      Alcotest.test_case "vm traps in hand-assembled code" `Quick test_vm_hand_traps;
       Alcotest.test_case "vm recursion and reuse" `Quick test_vm_recursion_and_reuse;
       Alcotest.test_case "vm re-entrant hook" `Quick test_vm_reentrant_hook;
       QCheck_alcotest.to_alcotest prop_vm_matches_interp;

@@ -149,7 +149,7 @@ let run_engines src (a, b) : (string * outcome) list =
     | exception I.Runtime_error _ -> Trap
   in
   let vm p =
-    match (Bytecode.Vm.run (Bytecode.Compile.compile_program p) "Fuzz.f" args).value with
+    match (Bytecode.Vm.run (Bytecode.Vm.prepare (Bytecode.Compile.compile_program p)) "Fuzz.f" args).value with
     | I.Prim v -> Value v
     | _ -> Trap
     | exception I.Runtime_error _ -> Trap

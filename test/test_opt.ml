@@ -155,8 +155,10 @@ class C {
 }
 |}
   in
-  let raw = Bytecode.Compile.compile_program (compile src) in
-  let opt = Bytecode.Compile.compile_program (Opt.optimize (compile src)) in
+  let raw = Bytecode.Vm.prepare (Bytecode.Compile.compile_program (compile src)) in
+  let opt =
+    Bytecode.Vm.prepare (Bytecode.Compile.compile_program (Opt.optimize (compile src)))
+  in
   let run u = (Bytecode.Vm.run u "C.f" [ I.Prim (V.Int 1) ]).Bytecode.Vm.executed in
   check_bool "optimized executes fewer instructions" true (run opt < run raw);
   check_bool "same result" true

@@ -35,11 +35,12 @@ let guard line f =
 
 let run_workload (w : Workloads.t) sizes =
   let c = Liquid_metal.Compiler.compile ~file:(w.name ^ ".lime") w.source in
-  let unit_ = c.Liquid_metal.Compiler.unit_ in
+  (* one VM program per compile, reused across every size *)
+  let vm = Bytecode.Vm.prepare c.Liquid_metal.Compiler.unit_ in
   List.iter
     (fun size ->
       guard (Printf.sprintf "vm n=%d" size) (fun () ->
-          let r = Bytecode.Vm.run unit_ w.entry (w.args ~size) in
+          let r = Bytecode.Vm.run vm w.entry (w.args ~size) in
           Printf.sprintf "executed=%d out=%s" r.executed (out r.value)))
     sizes;
   List.iter
