@@ -495,11 +495,11 @@ let estimate_cost t ~n (artifact : Artifact.t option)
   match artifact with
   | None ->
     (* interpreted bytecode, no boundary *)
-    nf *. chain_insns *. 6.0
+    nf *. chain_insns *. Metrics.cpu_ns_per_instruction
   | Some (Artifact.Native_binary _) ->
     let b = Metrics.native_boundary t.metrics_ in
     (2.0 *. Boundary.transfer_ns b (int_of_float (nf *. elem_bytes)))
-    +. (nf *. chain_insns *. 0.75)
+    +. (nf *. chain_insns *. Metrics.native_ns_per_instruction)
   | Some (Artifact.Gpu_kernel g) ->
     let b = Metrics.boundary t.metrics_ in
     let lanes = float_of_int (Gpu.Device.total_lanes t.gpu_device) in
