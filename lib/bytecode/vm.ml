@@ -24,12 +24,12 @@ type result = { value : v; executed : int }
    operand-stack position. *)
 type frame = v array
 
-(* A bytecode function: its frame allocator and its body. The body
-   starts as a stub that specialises the code into closures on the
-   first call and replaces itself. *)
+(* A bytecode function: its frame size and its body. The body starts
+   as a stub that specialises the code into closures on the first
+   call and replaces itself. *)
 type fn = {
   code : Compile.code;
-  new_frame : unit -> frame;
+  frame_size : int;
   mutable body : state -> frame -> v;
 }
 
@@ -38,13 +38,7 @@ and callee =
   | Intrinsic of (V.t list -> V.t)
   | Missing of string
 
-and program = {
-  unit_ : Compile.unit_;
-  fns : (string, callee) Hashtbl.t;
-  mutable last : string * callee;
-      (** the last key [run] resolved: the runtime calls one kernel
-          per element with the same key *)
-}
+and program = { unit_ : Compile.unit_; fns : (string, callee) Hashtbl.t }
 
 (* One run: its hooks, its instruction count and its task graphs in
    flight. Compiled code takes it as an argument rather than closing
@@ -60,27 +54,10 @@ and state = {
 
 type code = state -> frame -> v
 
-let prepare unit_ = { unit_; fns = Hashtbl.create 16; last = "", Missing "" }
+let prepare unit_ = { unit_; fns = Hashtbl.create 16 }
 
 let prim = I.prim_exn
 let unit_v = I.Prim V.Unit
-
-(* A frame allocator for [size] slots. [Array.make] is a C call that
-   costs more than a small kernel's body; the frames of small
-   functions are allocated inline instead. *)
-let frame_of_size size : unit -> frame =
-  let u = unit_v in
-  match size with
-  | 0 -> fun () -> [||]
-  | 1 -> fun () -> [| u |]
-  | 2 -> fun () -> [| u; u |]
-  | 3 -> fun () -> [| u; u; u |]
-  | 4 -> fun () -> [| u; u; u; u |]
-  | 5 -> fun () -> [| u; u; u; u; u |]
-  | 6 -> fun () -> [| u; u; u; u; u; u |]
-  | 7 -> fun () -> [| u; u; u; u; u; u; u |]
-  | 8 -> fun () -> [| u; u; u; u; u; u; u; u |]
-  | n -> fun () -> Array.make n u
 
 let as_int (x : v) =
   match x with
@@ -91,12 +68,6 @@ let as_bool (x : v) =
   match x with
   | I.Prim (V.Bool b) -> b
   | _ -> fail "expected a boolean on the operand stack"
-
-let rec bind (fr : frame) i = function
-  | [] -> ()
-  | a :: rest ->
-    fr.(i) <- a;
-    bind fr (i + 1) rest
 
 (* Where a pushed value lives while its block runs: a constant, or a
    frame slot (a local, or an operand-stack position). *)
@@ -193,7 +164,7 @@ let rec resolve p key : callee =
           let f =
             {
               code;
-              new_frame = frame_of_size (max code.c_slots code.c_params + deepest);
+              frame_size = max code.c_slots code.c_params + deepest;
               body = (fun _ _ -> unit_v);
             }
           in
@@ -207,8 +178,9 @@ let rec resolve p key : callee =
     Hashtbl.add p.fns key c;
     c
 
-(* Enter [callee] from the host side (a run, an inline map or reduce,
-   a graph filter), with the arity check a call has always made. *)
+(* Call [c] on a list of arguments, with the arity check a call has
+   always made: a run, an inline map or reduce, a graph filter, and a
+   call instruction to anything but a function of its arity. *)
 and invoke st (c : callee) (args : v list) : v =
   match c with
   | Intrinsic apply -> (
@@ -222,8 +194,8 @@ and invoke st (c : callee) (args : v list) : v =
     let n = List.length args in
     if n <> f.code.c_params then
       fail "%s expects %d argument(s), got %d" f.code.c_key f.code.c_params n;
-    let fr = f.new_frame () in
-    bind fr 0 args;
+    let fr = Array.make f.frame_size unit_v in
+    List.iteri (fun i a -> fr.(i) <- a) args;
     f.body st fr
 
 (* Inline map: each element application is a real VM call, so the
@@ -552,30 +524,24 @@ and specialise p (f : fn) depths : code =
                        { I.obj_class = cls; obj_fields = Array.map I.default_value tys };
                    k st fr)))
         | Insn.CALL (key, argc) -> (
-          let args = Array.of_list (List.map read (pops argc)) in
+          let args = List.map read (pops argc) in
           match resolve p key with
-          | Missing key -> fun _ _ -> fail "no function named %s" key
-          | Intrinsic apply ->
+          | Fn g when g.code.c_params = argc ->
+            let args = Array.of_list args in
             go
               (produce pc (fun d k st fr ->
-                   st.executed <- st.executed + 1;
-                   (match
-                      apply (Array.to_list (Array.map (fun a -> prim (a fr)) args))
-                    with
-                   | v -> fr.(d) <- I.Prim v
-                   | exception Lime_ir.Intrinsics.Error m -> fail "%s" m);
-                   k st fr))
-          | Fn g when g.code.c_params <> argc ->
-            fun _ _ ->
-              fail "%s expects %d argument(s), got %d" key g.code.c_params argc
-          | Fn g ->
-            go
-              (produce pc (fun d k st fr ->
-                   let callee = g.new_frame () in
+                   let callee = Array.make g.frame_size unit_v in
                    for j = 0 to argc - 1 do
                      callee.(j) <- args.(j) fr
                    done;
                    fr.(d) <- g.body st callee;
+                   k st fr))
+          | c ->
+            (* an intrinsic, or the trap of a missing function or a
+               wrong argument count, as a call from the host *)
+            go
+              (produce pc (fun d k st fr ->
+                   fr.(d) <- invoke st c (List.map (fun a -> a fr) args);
                    k st fr)))
         | Insn.RET ->
           let x = read (pop ()) and k = !nins in
@@ -650,14 +616,6 @@ and specialise p (f : fn) depths : code =
   blocks.(0)
 
 let run ?(hooks = no_hooks) p key args =
-  let callee =
-    match p.last with
-    | last, c when last == key -> c
-    | _ ->
-      let c = resolve p key in
-      p.last <- key, c;
-      c
-  in
   let st = { prog = p; hooks; executed = 0; graph_counter = 0; pending = [] } in
-  let value = invoke st callee args in
+  let value = invoke st (resolve p key) args in
   { value; executed = st.executed }
