@@ -387,8 +387,9 @@ and specialise p (f : fn) depths : code =
        following [store] names, or the new top of the stack. Returns
        the pc after the producer (and its store). *)
     let dest pc =
-      match if pc + 1 < n && not leader.(pc + 1) then insns.(pc + 1) else Insn.POP with
-      | Insn.STORE s ->
+      let next = if pc + 1 < n && not leader.(pc + 1) then Some insns.(pc + 1) else None in
+      match next with
+      | Some (Insn.STORE s) ->
         incr nins;
         spill (reads s);
         s, pc + 2
