@@ -2,7 +2,7 @@
 
 QCHECK_SEED ?= 20260805
 
-.PHONY: all build test lint baseline lint-baseline check bench bench-sched bench-placement bench-obs bench-lower bench-fuse bench-serve bench-e2e bench-e2e-compare clean
+.PHONY: all build test lint baseline lint-baseline check bench bench-sched bench-placement bench-obs bench-lower bench-fuse bench-serve bench-e2e bench-e2e-compare bench-e2e-ab clean
 
 all: build
 
@@ -129,6 +129,32 @@ bench-e2e: build
 bench-e2e-compare: build
 	@test -n "$(A)" && test -n "$(B)" || { echo "usage: make bench-e2e-compare A=dir B=dir"; exit 2; }
 	dune exec --display=quiet bench/e2e/e2e.exe -- compare $(A)/*.json -- $(B)/*.json
+
+# Paired A/B of one workload between two checkouts of the repository:
+# `make bench-e2e-ab A=dir B=dir W=workload OUT=dir [PAIRS=10] [SEED=1]`
+# builds both, runs each PAIRS times, alternating and swapping which
+# side goes first in every pair so a slow phase of the machine falls on
+# both, writes OUT/a/*.json and OUT/b/*.json, and ends with `compare`.
+PAIRS ?= 10
+SEED ?= 1
+
+bench-e2e-ab: build
+	@test -n "$(A)" && test -n "$(B)" && test -n "$(W)" && test -n "$(OUT)" || \
+	  { echo "usage: make bench-e2e-ab A=dir B=dir W=workload OUT=dir [PAIRS=10] [SEED=1]"; exit 2; }
+	dune build --root $(A) ./bench/e2e/e2e.exe
+	dune build --root $(B) ./bench/e2e/e2e.exe
+	@mkdir -p $(OUT)/a $(OUT)/b
+	@out=$$(cd $(OUT) && pwd); \
+	for i in $$(seq 1 $(PAIRS)); do \
+	  if [ $$((i % 2)) = 1 ]; then order="a b"; else order="b a"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = a ]; then dir=$(A); else dir=$(B); fi; \
+	    echo "== pair $$i: $$side ($$dir)"; \
+	    (cd $$dir && ./_build/default/bench/e2e/e2e.exe --workload $(W) \
+	      --seed $(SEED) --json $$out/$$side/$(W).$(SEED).$$i.json > /dev/null) || exit 1; \
+	  done; \
+	done
+	dune exec --display=quiet bench/e2e/e2e.exe -- compare $(OUT)/a/*.json -- $(OUT)/b/*.json
 
 clean:
 	dune clean
