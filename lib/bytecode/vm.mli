@@ -7,10 +7,11 @@ module Ir = Lime_ir.Ir
     it, and the benchmark harness converts it into modeled CPU time.
     How the host runs the instructions is not part of that model.
     Each function is specialised once per {!program}, on its first
-    call, into OCaml closures: one per basic block, operand-stack
-    positions resolved to frame slots, callees, classes and templates
-    resolved up front. Every run charges exactly the instructions the
-    bytecode executes and raises exactly the traps it raises.
+    call, into OCaml closures: a chain per basic block, with
+    operand-stack positions resolved to frame slots and callees,
+    classes and templates resolved up front. Every run charges exactly
+    the instructions the bytecode executes and raises exactly the
+    traps it raises.
 
     Task graphs, map sites and reduce sites trap to {!hooks}; the
     Liquid Metal runtime installs hooks that perform artifact
