@@ -87,10 +87,10 @@ bench-obs: build
 	dune exec bench/observe_bench.exe -- BENCH_obs.json
 
 # Map/reduce lowering regression gate: writes BENCH_lower.json and
-# fails if any lowered run diverges from the legacy whole-array
-# dispatch, models more than 5% slower than it, or if fewer than three
-# Gpu_map workloads plan the GPU with a predicted speedup over
-# bytecode.
+# fails if any lowered run's output diverges from the interpreter
+# (Lime_ir.Interp over the unoptimized IR), if sumsq's proven-assoc
+# reduce stays at one chunk, or if fewer than three Gpu_map workloads
+# plan the GPU with a predicted speedup over bytecode.
 bench-lower: build
 	dune exec bench/lower_bench.exe -- BENCH_lower.json
 

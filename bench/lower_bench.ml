@@ -1,13 +1,10 @@
-(* Lowered map/reduce vs the legacy whole-array dispatch.
+(* Lowered map/reduce runs checked against the interpreter.
 
-   For every workload this compiles the program once and runs it twice
-   under Prefer_accelerators: once with the map/reduce lowering on
-   (kernel sites execute as scatter/worker/gather task graphs) and
-   once with the legacy whole-array hooks. Outputs must be bitwise
-   identical and the lowered path must cost no more than 5% extra
-   modeled time — chunked execution ships arguments once, slices on
-   the device and amortizes launch overhead, so the substrate change
-   is not allowed to tax the workloads it generalizes.
+   For every workload this compiles the program once and runs it under
+   Prefer_accelerators, with every kernel site executing as a
+   scatter/worker/gather task graph. Outputs must be bitwise identical
+   to [Lime_ir.Interp] over the unoptimized IR. The lowered modeled
+   time is recorded; test/vm.baseline pins it exactly.
 
    The planner must also have something to say now that sites are
    placeable: the calibrated plan for each Gpu_map workload carries a
@@ -21,16 +18,28 @@ module Compiler = Liquid_metal.Compiler
 module Exec = Runtime.Exec
 module Substitute = Runtime.Substitute
 module Metrics = Runtime.Metrics
+module I = Lime_ir.Interp
 
-let tolerance = 1.05
-
-let run_once (w : Workloads.t) c ~size ~lower =
-  let engine =
-    Compiler.engine ~policy:Substitute.Prefer_accelerators
-      ~lower_mapreduce:lower c
-  in
+let run_once (w : Workloads.t) c ~size =
+  let engine = Compiler.engine ~policy:Substitute.Prefer_accelerators c in
   let result = Exec.call engine w.Workloads.entry (w.Workloads.args ~size) in
   (result, Exec.modeled_ns engine, Metrics.snapshot (Exec.metrics engine))
+
+(* The reference result: the interpreter over the unoptimized IR, so
+   neither the optimizer nor any backend is shared with the path under
+   test. *)
+let expected (w : Workloads.t) ~size =
+  let prog =
+    Lime_syntax.Parser.parse ~file:(w.Workloads.name ^ ".lime")
+      w.Workloads.source
+    |> Lime_types.Typecheck.check |> Lime_ir.Lower.lower
+  in
+  I.call prog w.Workloads.entry (w.Workloads.args ~size)
+
+(* Bit-exact agreement: [Wire.Value.equal] compares floats with [=]
+   (NaN equal to NaN), never with a tolerance. *)
+let agrees (a : I.v) (b : I.v) =
+  match a, b with I.Prim x, I.Prim y -> Wire.Value.equal x y | _ -> false
 
 let () =
   let out_path =
@@ -39,23 +48,16 @@ let () =
   let rows = ref [] in
   let failures = ref 0 in
   let gpu_winners = ref 0 in
-  Printf.printf "%-12s %6s  %14s %14s  %6s  %7s  %9s  %s\n" "workload" "size"
-    "legacy ns" "lowered ns" "ratio" "chunks" "predicted" "planned";
+  Printf.printf "%-12s %6s  %14s  %7s  %9s  %s\n" "workload" "size"
+    "lowered ns" "chunks" "predicted" "planned";
   List.iter
     (fun (w : Workloads.t) ->
       let size = w.Workloads.default_size in
       let c = Compiler.compile w.Workloads.source in
-      let legacy_r, legacy_ns, _ = run_once w c ~size ~lower:false in
-      let lowered_r, lowered_ns, m = run_once w c ~size ~lower:true in
-      if Stdlib.compare legacy_r lowered_r <> 0 then begin
-        Printf.eprintf "FAIL %s: lowered output diverged from legacy\n"
+      let lowered_r, lowered_ns, m = run_once w c ~size in
+      if not (agrees (expected w ~size) lowered_r) then begin
+        Printf.eprintf "FAIL %s: lowered output diverged from the interpreter\n"
           w.Workloads.name;
-        incr failures
-      end;
-      if lowered_ns > legacy_ns *. tolerance then begin
-        Printf.eprintf
-          "FAIL %s: lowered path modeled %.0fns > legacy %.0fns x %.2f\n"
-          w.Workloads.name lowered_ns legacy_ns tolerance;
         incr failures
       end;
       (* The algebraic proof must be load-bearing: sumsq's integer
@@ -102,14 +104,12 @@ let () =
         && String.length planned_text >= 3
         && String.sub planned_text 0 3 = "gpu"
       then incr gpu_winners;
-      let ratio = if legacy_ns > 0.0 then lowered_ns /. legacy_ns else 1.0 in
-      Printf.printf "%-12s %6d  %14.0f %14.0f  %5.2fx  %7d  %8.2fx  %s\n"
-        w.Workloads.name size legacy_ns lowered_ns ratio m.Metrics.mr_chunks
-        predicted planned_text;
+      Printf.printf "%-12s %6d  %14.0f  %7d  %8.2fx  %s\n" w.Workloads.name
+        size lowered_ns m.Metrics.mr_chunks predicted planned_text;
       rows :=
         Printf.sprintf
-          "{\"workload\":%S,\"size\":%d,\"legacy_modeled_ns\":%.1f,\"lowered_modeled_ns\":%.1f,\"ratio\":%.3f,\"mr_runs\":%d,\"mr_chunks\":%d,\"predicted_speedup\":%.3f,\"plan\":%S}"
-          w.Workloads.name size legacy_ns lowered_ns ratio m.Metrics.mr_runs
+          "{\"workload\":%S,\"size\":%d,\"lowered_modeled_ns\":%.1f,\"mr_runs\":%d,\"mr_chunks\":%d,\"predicted_speedup\":%.3f,\"plan\":%S}"
+          w.Workloads.name size lowered_ns m.Metrics.mr_runs
           m.Metrics.mr_chunks predicted planned_text
         :: !rows)
     Workloads.all;

@@ -165,18 +165,6 @@ let retries_arg =
     & info [ "max-retries" ] ~docv:"N"
         ~doc:"device-launch retries before re-substitution (default 2)")
 
-let lower_arg =
-  Arg.(
-    value
-    & opt bool true
-    & info [ "lower-mapreduce" ] ~docv:"BOOL"
-        ~doc:
-          "execute map/reduce kernel sites as lowered \
-           scatter/worker/gather task graphs under the full \
-           placement/scheduling/fault machinery (default $(b,true); \
-           $(b,false) restores the legacy whole-array dispatch; see \
-           docs/LOWERING.md)")
-
 let fuse_arg =
   Arg.(
     value
@@ -385,13 +373,12 @@ let run_cmd =
     Arg.(value & flag & info [ "metrics" ] ~doc:"print execution metrics")
   in
   let action file entry args policy schedule fifo_capacity verbose faults
-      max_retries replan_factor lower_mapreduce fuse trace profile report
-      metrics_export =
+      max_retries replan_factor fuse trace profile report metrics_export =
     handle_compile_errors (fun () ->
         setup_tracing ~trace ~profile:(profile || report);
         let session =
           Lm.load ~policy ~schedule ?fifo_capacity ?max_retries ?replan_factor
-            ~lower_mapreduce ~fuse (read_file file)
+            ~fuse (read_file file)
         in
         setup_faults faults;
         let values = List.map parse_value args in
@@ -433,8 +420,7 @@ let run_cmd =
     Term.(
       const action $ file_arg $ entry $ args $ policy $ schedule_arg
       $ fifo_capacity_arg $ verbose $ faults_arg $ retries_arg $ replan_arg
-      $ lower_arg $ fuse_arg $ trace_arg $ profile_arg $ report_flag
-      $ metrics_export_arg)
+      $ fuse_arg $ trace_arg $ profile_arg $ report_flag $ metrics_export_arg)
 
 (* --- disasm ----------------------------------------------------------- *)
 
@@ -480,7 +466,7 @@ let workloads_cmd =
              ~doc:"substitution policy (as for run)")
   in
   let action name size policy schedule fifo_capacity faults max_retries
-      replan_factor lower_mapreduce fuse trace profile report metrics_export =
+      replan_factor fuse trace profile report metrics_export =
     match (name : string option) with
     | None ->
       List.iter
@@ -499,7 +485,7 @@ let workloads_cmd =
           let size = Option.value size ~default:w.default_size in
           let session =
             Lm.load ~policy ~schedule ?fifo_capacity ?max_retries
-              ?replan_factor ~lower_mapreduce ~fuse w.source
+              ?replan_factor ~fuse w.source
           in
           setup_faults faults;
           let t0 = Unix.gettimeofday () in
@@ -542,9 +528,8 @@ let workloads_cmd =
     (Cmd.info "workloads" ~doc:"list or run the benchmark workloads")
     Term.(
       const action $ workload_name $ size $ policy $ schedule_arg
-      $ fifo_capacity_arg $ faults_arg $ retries_arg $ replan_arg $ lower_arg
-      $ fuse_arg $ trace_arg $ profile_arg $ report_flag
-      $ metrics_export_arg)
+      $ fifo_capacity_arg $ faults_arg $ retries_arg $ replan_arg $ fuse_arg
+      $ trace_arg $ profile_arg $ report_flag $ metrics_export_arg)
 
 (* --- plan -------------------------------------------------------------- *)
 

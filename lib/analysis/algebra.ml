@@ -2,7 +2,7 @@
 
    [Lower_mapreduce] may only split a reduce into K > 1 chunks when
    the combiner is associative: the lowered graph computes
-   `(fold c1) . (fold c2) . ...` where the legacy path computes one
+   `(fold c1) . (fold c2) . ...` where the interpreter computes one
    strict left fold. For 32-bit integer machine arithmetic the usual
    suspects — `+`, `*`, `&`, `|`, `^`, `min`, `max` and the boolean
    connectives — are *exactly* associative and commutative (wraparound

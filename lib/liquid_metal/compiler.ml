@@ -373,9 +373,7 @@ let manifest (c : compiled) = Runtime.Store.manifest c.store
 
 let engine ?policy ?fuse ?gpu_device ?fifo_capacity ?schedule ?boundary
     ?model_divergence ?chunk_elements ?max_retries ?retry_backoff_ns
-    ?cost_model ?replan_factor ?lower_mapreduce ?map_chunks ?reduce_chunks
-    (c : compiled) =
+    ?cost_model ?replan_factor ?map_chunks ?reduce_chunks (c : compiled) =
   Runtime.Exec.create ?policy ?fuse ?gpu_device ?fifo_capacity ?schedule
     ?boundary ?model_divergence ?chunk_elements ?max_retries ?retry_backoff_ns
-    ?cost_model ?replan_factor ?lower_mapreduce ?map_chunks ?reduce_chunks
-    c.unit_ c.store
+    ?cost_model ?replan_factor ?map_chunks ?reduce_chunks c.unit_ c.store

@@ -60,7 +60,6 @@ val engine :
   ?retry_backoff_ns:float ->
   ?cost_model:Runtime.Exec.cost_model ->
   ?replan_factor:float ->
-  ?lower_mapreduce:bool ->
   ?map_chunks:int ->
   ?reduce_chunks:int ->
   compiled ->
@@ -68,5 +67,5 @@ val engine :
 (** A co-execution engine over the compiled artifacts.
     [max_retries]/[retry_backoff_ns] configure the failure protocol,
     [cost_model]/[replan_factor] the placement cost model and online
-    re-planning, [lower_mapreduce]/[map_chunks]/[reduce_chunks] the
-    lowered kernel-site execution (see {!Runtime.Exec.create}). *)
+    re-planning, [map_chunks]/[reduce_chunks] the lowered kernel-site
+    execution (see {!Runtime.Exec.create}). *)

@@ -23,7 +23,6 @@ val load :
   ?retry_backoff_ns:float ->
   ?cost_model:Runtime.Exec.cost_model ->
   ?replan_factor:float ->
-  ?lower_mapreduce:bool ->
   ?map_chunks:int ->
   ?reduce_chunks:int ->
   ?fuse:bool ->
@@ -33,9 +32,8 @@ val load :
     co-execution engine. Default policy is the paper's
     [Prefer_accelerators]; [max_retries]/[retry_backoff_ns] configure
     the failure protocol, [cost_model]/[replan_factor] the placement
-    cost model and online re-planning, and
-    [lower_mapreduce]/[map_chunks]/[reduce_chunks] the lowered
-    kernel-site execution (see {!Runtime.Exec.create}).
+    cost model and online re-planning, and [map_chunks]/[reduce_chunks]
+    the lowered kernel-site execution (see {!Runtime.Exec.create}).
     [fuse] (default [true]) controls cross-filter fusion end to end:
     when [false] no fused artifacts are generated and the engine plans
     per-stage segments only (see docs/FUSION.md). *)

@@ -55,10 +55,6 @@ type t = {
       (** solved steady-state step budgets per (template, plan,
           stream-shape) key, so repeated [Exec] runs of the same graph
           skip rebuilding and re-solving the rate graph *)
-  lower_mapreduce : bool;
-      (** execute map/reduce sites through the lowered
-          scatter/worker/gather task graph instead of the legacy
-          whole-array GPU hook *)
   mr_sites : Lmr.lowered Ir.String_map.t;
       (** the program's kernel sites, lowered, keyed by site UID *)
   map_chunks : int option;  (** forced scatter width for map sites *)
@@ -76,7 +72,7 @@ let create ?(policy = Substitute.Prefer_accelerators) ?(fuse = true)
     ?(fifo_capacity = 16) ?(schedule = Scheduler.Round_robin) ?boundary
     ?(model_divergence = true) ?chunk_elements ?(max_retries = 2)
     ?(retry_backoff_ns = 1000.0) ?cost_model ?replan_factor
-    ?(lower_mapreduce = true) ?map_chunks ?reduce_chunks unit_ store_ =
+    ?map_chunks ?reduce_chunks unit_ store_ =
   (* Validate at the boundary: [Actor.Channel.create] would otherwise
      raise [Invalid_argument] from deep inside graph construction. *)
   if fifo_capacity < 1 then
@@ -102,11 +98,7 @@ let create ?(policy = Substitute.Prefer_accelerators) ?(fuse = true)
     replan_factor;
     observed_ = Hashtbl.create 16;
     steady_cache_ = Hashtbl.create 16;
-    lower_mapreduce;
-    mr_sites =
-      (if lower_mapreduce then
-         Lmr.lower_program unit_.Bytecode.Compile.u_program
-       else Ir.String_map.empty);
+    mr_sites = Lmr.lower_program unit_.Bytecode.Compile.u_program;
     map_chunks;
     reduce_chunks;
     assoc_memo_ = Hashtbl.create 8;
@@ -192,6 +184,11 @@ let rec restore_v ~(snap : I.v) ~(into : I.v) : unit =
       s.I.obj_fields
   | _ -> ()
 
+(* The rewind of a launch's [receivers] to their state now. *)
+let rewinder (receivers : I.v list) =
+  let snaps = List.map snapshot_v receivers in
+  fun () -> List.iter2 (fun snap into -> restore_v ~snap ~into) snaps receivers
+
 (* --- device dispatch -------------------------------------------------- *)
 
 (* Ship a value to the device through the full Figure-3 path and hand
@@ -211,9 +208,6 @@ let ship_to_host ?boundary ?streaming t (v : V.t) : V.t =
   let ty = wire_ty_of_value v in
   let native = Boundary.native_of_value ty v in
   Boundary.to_host ?streaming b native
-
-let gpu_allowed t =
-  List.mem Artifact.Gpu (Substitute.device_order t.policy_)
 
 (* Total modeled time accumulated so far: the interpreter under the
    CPU model plus every device kernel, native segment and boundary
@@ -252,35 +246,6 @@ let with_launch_span t ~elements name f =
         sp;
       raise e
   end
-
-let run_gpu_map t (site : Ir.map_site) (args : I.v list) : I.v =
-  let host_args = List.map I.prim_exn args in
-  let elements =
-    match host_args with
-    | a :: _ -> ( try I.array_length a with _ -> 1)
-    | [] -> 0
-  in
-  with_launch_span t ~elements ("gpu:" ^ site.map_uid) (fun () ->
-      let dev_args = List.map (ship_to_device t) host_args in
-      let result, timing =
-        Gpu.Simt.run_map ~device:t.gpu_device
-          ~model_divergence:t.model_divergence t.simt site dev_args
-      in
-      Metrics.add_gpu_kernel t.metrics_ ~ns:timing.Gpu.Simt.kernel_ns;
-      Metrics.add_substitution t.metrics_ site.map_uid Artifact.Gpu;
-      I.Prim (ship_to_host t result))
-
-let run_gpu_reduce t (site : Ir.reduce_site) (arg : I.v) : I.v =
-  let elements = try I.array_length (I.prim_exn arg) with _ -> 1 in
-  with_launch_span t ~elements ("gpu:" ^ site.red_uid) (fun () ->
-      let dev_arg = ship_to_device t (I.prim_exn arg) in
-      let result, timing =
-        Gpu.Simt.run_reduce ~device:t.gpu_device
-          ~model_divergence:t.model_divergence t.simt site dev_arg
-      in
-      Metrics.add_gpu_kernel t.metrics_ ~ns:timing.Gpu.Simt.kernel_ns;
-      Metrics.add_substitution t.metrics_ site.red_uid Artifact.Gpu;
-      I.Prim (ship_to_host t result))
 
 (* --- task-graph co-execution ------------------------------------------ *)
 
@@ -337,23 +302,28 @@ let filter_fn_key (f : Ir.filter_info) =
   | Ir.F_static key -> key
   | Ir.F_instance (cls, m) -> cls ^ "." ^ m
 
-(* One bytecode filter actor: every element application is a VM call,
-   charged to the CPU model. *)
-let bytecode_filter_actor t ((f : Ir.filter_info), receiver) inp out =
+(* One filter application on the VM: the receiver, for an instance
+   filter, then the element. [charge] books the executed instructions
+   to the CPU model or, for a native segment, to the native one. *)
+let apply_filter t ~charge key receiver x =
+  let args =
+    match receiver with Some r -> [ r; I.Prim x ] | None -> [ I.Prim x ]
+  in
+  let r = Bytecode.Vm.run t.vm key args in
+  charge t.metrics_ r.Bytecode.Vm.executed;
+  I.prim_exn r.Bytecode.Vm.value
+
+(* A bytecode filter's per-element function: one VM call per element,
+   charged to the CPU model, under a "bc:" span. *)
+let bytecode_apply t ((f : Ir.filter_info), receiver) =
   let key = filter_fn_key f in
   let span_name = "bc:" ^ f.uid in
-  let apply x =
+  fun x ->
     Trace.with_span ~cat:"vm" span_name (fun () ->
-        let args =
-          match receiver with
-          | Some r -> [ r; I.Prim x ]
-          | None -> [ I.Prim x ]
-        in
-        let r = Bytecode.Vm.run t.vm key args in
-        Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
-        I.prim_exn r.Bytecode.Vm.value)
-  in
-  Actor.filter ~name:span_name ~f:apply inp out
+        apply_filter t ~charge:Metrics.add_vm_instructions key receiver x)
+
+let bytecode_filter_actor t (((f : Ir.filter_info), _) as pair) inp out =
+  Actor.filter ~name:("bc:" ^ f.uid) ~f:(bytecode_apply t pair) inp out
 
 (* Fault aliasing for fused segments: specs written against the
    pre-fusion segment names (each member uid, and the plain chain uid)
@@ -378,8 +348,7 @@ let fused_prelude t ~device uid =
    ([Artifact.is_fused_uid]) additionally streams its result home —
    the kernel writes back as it computes, so the return crossing pays
    bandwidth only. *)
-let gpu_batch t (artifact : Artifact.gpu_artifact)
-    (filters : (Ir.filter_info * I.v option) list) (xs : V.t list) : V.t list =
+let gpu_batch t (artifact : Artifact.gpu_artifact) (xs : V.t list) : V.t list =
   let chain_filters =
     match artifact.ga_kind with
     | Artifact.G_filter_chain fs -> fs
@@ -391,7 +360,6 @@ let gpu_batch t (artifact : Artifact.gpu_artifact)
   let output_ty =
     (List.nth chain_filters (List.length chain_filters - 1)).Ir.output
   in
-  ignore filters;
   let fused = Artifact.is_fused_uid artifact.ga_uid in
   if fused then fused_prelude t ~device:"gpu" artifact.ga_uid;
   with_launch_span t ~elements:(List.length xs) ("gpu:" ^ artifact.ga_uid)
@@ -452,25 +420,21 @@ let native_batch t (artifact : Artifact.native_artifact)
     (fun () ->
       let packed = pack_stream input_ty xs in
       let dev_input = unpack_stream (ship_to_device ~boundary:nb t packed) in
-      let apply x ((f : Ir.filter_info), receiver) =
-        let args =
-          match receiver with
-          | Some r -> [ r; I.Prim x ]
-          | None -> [ I.Prim x ]
-        in
-        let r = Bytecode.Vm.run t.vm (filter_fn_key f) args in
-        Metrics.add_native_instructions t.metrics_ r.Bytecode.Vm.executed;
-        I.prim_exn r.Bytecode.Vm.value
+      let stages =
+        List.map (fun (f, receiver) -> filter_fn_key f, receiver) filters
+      in
+      let apply x (key, receiver) =
+        apply_filter t ~charge:Metrics.add_native_instructions key receiver x
       in
       let outputs =
-        List.map (fun x -> List.fold_left apply x filters) dev_input
+        List.map (fun x -> List.fold_left apply x stages) dev_input
       in
       unpack_stream
         (ship_to_host ~boundary:nb t (pack_stream output_ty outputs)))
 
 let batch_of_artifact t (artifact : Artifact.t) pairs xs =
   match artifact with
-  | Artifact.Gpu_kernel g -> gpu_batch t g pairs xs
+  | Artifact.Gpu_kernel g -> gpu_batch t g xs
   | Artifact.Fpga_module f -> fpga_batch t f pairs xs
   | Artifact.Native_binary n -> native_batch t n pairs xs
 
@@ -569,15 +533,17 @@ let plan_for ?(force_adaptive = false) ?fuse t ~n filters_info =
 (* The paper's safety invariant — "every task always has a CPU
    implementation" (the frontend lowers the whole program to bytecode)
    — makes device artifacts optimizations, never requirements. The
-   protocol that enforces it at runtime:
+   protocol that enforces it at runtime, [with_recovery]:
 
      1. a device launch that raises {!Support.Fault.Device_fault} is
         retried up to [max_retries] times, after rewinding receiver
         state and a modeled exponential backoff;
      2. when retries are exhausted the faulty device is quarantined in
-        the store and the segment's filters are re-planned under the
-        same policy — the re-plan can only choose still-healthy
-        devices, and falls out at bytecode;
+        the store and the caller falls back: a graph segment is
+        re-planned under the same policy (stage by stage, if it was
+        fused), a lowered chunk re-plans its worker, and a lowered
+        result's trip home is abandoned. A re-plan can only choose
+        still-healthy devices, and falls out at bytecode;
      3. re-planned device segments get the same protection, so a run
         terminates even when every device model is failing: each
         fallback removes one device, and the bytecode base case cannot
@@ -594,54 +560,24 @@ let trace_fault_event name ~uid ~attempt extra =
       ~args:([ "segment", Trace.Str uid; "attempt", Trace.Int attempt ] @ extra)
       name
 
-(* Apply one bytecode filter to a whole batch, in stream order —
-   element order is what stateful receivers observe, and a linear
-   chain makes filter-at-a-time equivalent to the pipelined actor
-   schedule. *)
-let bytecode_apply_batch t ((f : Ir.filter_info), receiver) xs =
-  let key = filter_fn_key f in
-  let span_name = "bc:" ^ f.uid in
-  List.map
-    (fun x ->
-      Trace.with_span ~cat:"vm" span_name (fun () ->
-          let args =
-            match receiver with
-            | Some r -> [ r; I.Prim x ]
-            | None -> [ I.Prim x ]
-          in
-          let r = Bytecode.Vm.run t.vm key args in
-          Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
-          I.prim_exn r.Bytecode.Vm.value))
-    xs
-
-(* Run one device segment over a batch with retries; on exhaustion,
-   quarantine the device and re-substitute the segment's filters. *)
-let rec run_segment_with_recovery t (artifact : Artifact.t)
-    (pairs : (Ir.filter_info * I.v option) list) (xs : V.t list) : V.t list =
-  let uid = Artifact.uid artifact in
-  let device = Artifact.device artifact in
-  let receivers = List.filter_map snd pairs in
-  let snaps = List.map snapshot_v receivers in
-  let rewind () =
-    List.iter2 (fun snap into -> restore_v ~snap ~into) snaps receivers
-  in
+(* Run [f] on [device] under the protocol: every fault is counted and
+   [rewind] runs; attempt [k] then retries after a backoff of
+   [retry_backoff_ns * 2^k] modeled ns, and once [max_retries] are
+   spent the device is quarantined and [exhausted ()] answers
+   instead. *)
+let with_recovery t ~uid ~(device : Artifact.device) ?(rewind = ignore)
+    ~exhausted f =
+  let name = Artifact.device_name device in
   let rec attempt k =
-    match batch_of_artifact t artifact pairs xs with
-    | outputs ->
-      (* the segment's code and staging buffers are now on the device:
-         record residency so a data-aware scheduler (lib/serve) can
-         prefer this device for the next job touching the same chain *)
-      Store.note_resident t.store_ ~device ~uid;
-      outputs
+    match f () with
+    | r -> r
     | exception Support.Fault.Device_fault info ->
       Metrics.add_device_fault t.metrics_;
       rewind ();
       if k < t.max_retries then begin
         let backoff = t.retry_backoff_ns *. (2.0 ** float_of_int k) in
         Metrics.add_retry t.metrics_ ~backoff_ns:backoff;
-        trace_fault_event
-          ("retry:" ^ Artifact.device_name device)
-          ~uid ~attempt:(k + 1)
+        trace_fault_event ("retry:" ^ name) ~uid ~attempt:(k + 1)
           [ "backoff_ns", Trace.Float backoff ];
         (* the backoff is modeled, not slept: the span marks where the
            delay sits on the timeline and carries the modeled ns *)
@@ -653,7 +589,7 @@ let rec run_segment_with_recovery t (artifact : Artifact.t)
                    "backoff_ns", Trace.Float backoff;
                    "attempt", Trace.Int (k + 1);
                  ]
-               ("backoff:" ^ Artifact.device_name device));
+               ("backoff:" ^ name));
         attempt (k + 1)
       end
       else begin
@@ -661,28 +597,46 @@ let rec run_segment_with_recovery t (artifact : Artifact.t)
         Metrics.add_resubstitution t.metrics_;
         trace_fault_event "resubstitute" ~uid ~attempt:k
           [
-            "quarantined", Trace.Str (Artifact.device_name device);
+            "quarantined", Trace.Str name;
             "reason", Trace.Str info.Support.Fault.f_reason;
           ];
-        if Artifact.is_fused_uid uid then begin
-          (* unfuse: re-plan each stage separately so the segment falls
-             back per stage (and ultimately to per-stage bytecode)
-             rather than onto another device's fused artifact *)
-          Metrics.add_unfuse t.metrics_;
-          if Trace.enabled () then
-            Trace.instant ~cat:"unfuse"
-              ~args:
-                [
-                  "device", Trace.Str (Artifact.device_name device);
-                  "stages", Trace.Int (List.length pairs);
-                ]
-              uid;
-          run_resubstituted ~fuse:false t pairs xs
-        end
-        else run_resubstituted t pairs xs
+        exhausted ()
       end
   in
   attempt 0
+
+(* Run one device segment over a batch with retries; on exhaustion,
+   re-substitute the segment's filters. *)
+let rec run_segment_with_recovery t (artifact : Artifact.t)
+    (pairs : (Ir.filter_info * I.v option) list) (xs : V.t list) : V.t list =
+  let uid = Artifact.uid artifact in
+  let device = Artifact.device artifact in
+  with_recovery t ~uid ~device
+    ~rewind:(rewinder (List.filter_map snd pairs))
+    ~exhausted:(fun () ->
+      if Artifact.is_fused_uid uid then begin
+        (* unfuse: re-plan each stage separately so the segment falls
+           back per stage (and ultimately to per-stage bytecode)
+           rather than onto another device's fused artifact *)
+        Metrics.add_unfuse t.metrics_;
+        if Trace.enabled () then
+          Trace.instant ~cat:"unfuse"
+            ~args:
+              [
+                "device", Trace.Str (Artifact.device_name device);
+                "stages", Trace.Int (List.length pairs);
+              ]
+            uid;
+        run_resubstituted ~fuse:false t pairs xs
+      end
+      else run_resubstituted t pairs xs)
+    (fun () ->
+      let outputs = batch_of_artifact t artifact pairs xs in
+      (* the segment's code and staging buffers are now on the device:
+         record residency so a data-aware scheduler (lib/serve) can
+         prefer this device for the next job touching the same chain *)
+      Store.note_resident t.store_ ~device ~uid;
+      outputs)
 
 (* Re-plan a failed (or demoted) segment's filters against the
    quarantined store and execute the new plan inline over the
@@ -713,15 +667,19 @@ and run_resubstituted ?force_adaptive ?fuse t
     (fun vals segment ->
       match segment with
       | Substitute.S_bytecode fs ->
-        (* a fused filter covers several of the original (filter,
-           receiver) pairs but executes as one VM call per element *)
+        (* One filter at a time over the whole batch, in stream order:
+           element order is what stateful receivers observe, and a
+           linear chain makes this equivalent to the pipelined actor
+           schedule. A fused filter covers several of the original
+           (filter, receiver) pairs but executes as one VM call per
+           element. *)
         List.fold_left
           (fun vs (f : Ir.filter_info) ->
             if Artifact.is_fused_uid f.Ir.uid then begin
               ignore (take (List.length (Artifact.fused_members f.Ir.uid)));
-              bytecode_apply_batch t (f, None) vs
+              List.map (bytecode_apply t (f, None)) vs
             end
-            else bytecode_apply_batch t (List.hd (take 1)) vs)
+            else List.map (bytecode_apply t (List.hd (take 1))) vs)
           vals fs
       | Substitute.S_device (a, fs) ->
         let pairs' = take (List.length fs) in
@@ -1040,13 +998,12 @@ let run_bound_graph t (bg : bound_graph) : unit =
    replicated workers apply the site's function to their chunk on
    whatever device the substitution plan chose, and a gather sink
    reassembles the chunk results (map) or combines the partial folds
-   (reduce). This retires the ad-hoc whole-array [run_gpu_map] hook
-   path: every policy — including bytecode-only — now routes kernel
+   (reduce). Every policy — including bytecode-only — routes kernel
    sites through the same plan/actor/steady-state/fault machinery as
    graph templates.
 
-   Cost parity with the legacy single-launch path: arguments cross the
-   boundary once (device-side chunk slicing is free, like a kernel
+   Chunking costs what one whole-array launch would: arguments cross
+   the boundary once (device-side chunk slicing is free, like a kernel
    indexing into an already-resident buffer), chunk launches after the
    first are charged kernel time minus the launch overhead (command
    batching amortizes it), and the assembled result crosses back
@@ -1075,32 +1032,9 @@ let mr_seg_of_plan = function
    on retry exhaustion the transfer is abandoned: quarantine the device
    and answer with the unshipped value rather than losing the run. *)
 let mr_ship_home t ?boundary ~uid ~(device : Artifact.device) (v : V.t) : V.t =
-  let rec attempt k =
-    match ship_to_host ?boundary t v with
-    | r -> r
-    | exception Support.Fault.Device_fault info ->
-      Metrics.add_device_fault t.metrics_;
-      if k < t.max_retries then begin
-        let backoff = t.retry_backoff_ns *. (2.0 ** float_of_int k) in
-        Metrics.add_retry t.metrics_ ~backoff_ns:backoff;
-        trace_fault_event
-          ("retry:" ^ Artifact.device_name device)
-          ~uid ~attempt:(k + 1)
-          [ "backoff_ns", Trace.Float backoff ];
-        attempt (k + 1)
-      end
-      else begin
-        Store.quarantine t.store_ ~device ~reason:info.Support.Fault.f_reason;
-        Metrics.add_resubstitution t.metrics_;
-        trace_fault_event "resubstitute" ~uid ~attempt:k
-          [
-            "quarantined", Trace.Str (Artifact.device_name device);
-            "reason", Trace.Str info.Support.Fault.f_reason;
-          ];
-        v
-      end
-  in
-  attempt 0
+  with_recovery t ~uid ~device
+    ~exhausted:(fun () -> v)
+    (fun () -> ship_to_host ?boundary t v)
 
 (* The shared scatter -> workers -> gather actor graph. [run_chunk ci
    (off, len)] computes chunk [ci]'s result (carrying the full failure
@@ -1225,49 +1159,16 @@ let run_mr_actors t ~uid ~(bounds : (int * int) list)
 let mr_chunk_with_recovery t ~uid ~n ~(worker : Ir.filter_info)
     ~(seg : mr_seg ref) ~(invalidate : Artifact.device -> unit)
     ~(receivers : I.v list) (compute : unit -> V.t) : V.t =
-  let snaps = List.map snapshot_v receivers in
-  let rewind () =
-    List.iter2 (fun snap into -> restore_v ~snap ~into) snaps receivers
-  in
-  let rec attempt k =
-    match compute () with
-    | v -> v
-    | exception Support.Fault.Device_fault info -> (
-      Metrics.add_device_fault t.metrics_;
-      rewind ();
-      match !seg with
-      | Mr_bytecode ->
-        (* bytecode chunks never touch a device or a boundary *)
-        raise (Support.Fault.Device_fault info)
-      | Mr_device a ->
-        let device = Artifact.device a in
-        if k < t.max_retries then begin
-          let backoff = t.retry_backoff_ns *. (2.0 ** float_of_int k) in
-          Metrics.add_retry t.metrics_ ~backoff_ns:backoff;
-          trace_fault_event
-            ("retry:" ^ Artifact.device_name device)
-            ~uid ~attempt:(k + 1)
-            [ "backoff_ns", Trace.Float backoff ];
-          if Trace.enabled () then
-            Trace.end_span
-              (Trace.begin_span ~cat:"backoff"
-                 ~args:
-                   [
-                     "backoff_ns", Trace.Float backoff;
-                     "attempt", Trace.Int (k + 1);
-                   ]
-                 ("backoff:" ^ Artifact.device_name device));
-          attempt (k + 1)
-        end
-        else begin
-          Store.quarantine t.store_ ~device
-            ~reason:info.Support.Fault.f_reason;
-          Metrics.add_resubstitution t.metrics_;
-          trace_fault_event "resubstitute" ~uid ~attempt:k
-            [
-              "quarantined", Trace.Str (Artifact.device_name device);
-              "reason", Trace.Str info.Support.Fault.f_reason;
-            ];
+  let rewind = rewinder receivers in
+  let rec launch () =
+    match !seg with
+    | Mr_bytecode ->
+      (* bytecode chunks never touch a device or a boundary *)
+      compute ()
+    | Mr_device a ->
+      let device = Artifact.device a in
+      with_recovery t ~uid ~device ~rewind
+        ~exhausted:(fun () ->
           invalidate device;
           let plan = plan_for t ~n [ worker ] in
           (match plan with
@@ -1275,10 +1176,10 @@ let mr_chunk_with_recovery t ~uid ~n ~(worker : Ir.filter_info)
             Metrics.add_substitution t.metrics_ uid (Artifact.device a')
           | _ -> ());
           seg := mr_seg_of_plan plan;
-          attempt 0
-        end)
+          launch ())
+        compute
   in
-  attempt 0
+  launch ()
 
 let mr_record_plan t ~uid plan =
   t.last_plan_ <- Some (Substitute.describe_plan plan);
@@ -1619,7 +1520,7 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
          boundary rather than one crossing per chunk, the same
          single-transfer shape as the map path's gathered result — at
          K > 1 a per-partial crossing would charge K boundary
-         latencies where the legacy whole-array reduce pays one. *)
+         latencies where a whole-array reduce pays one. *)
       let resolved = Array.make k None in
       let ship_batch ?boundary ~(device : Artifact.device) sel =
         let group =
@@ -1692,91 +1593,23 @@ let run_lowered_reduce t (lw : Lmr.lowered) (site : Ir.reduce_site)
 
 (* --- VM hooks ---------------------------------------------------------- *)
 
-(* The hook-path version of the failure protocol: a faulting GPU
-   map/reduce launch is retried with backoff, and on exhaustion the
-   device is quarantined and the hook answers [None] — the VM then
-   interprets the site inline, which is exactly the bytecode
-   fallback. *)
-let hook_with_recovery t ~uid (f : unit -> I.v) : I.v option =
-  let rec attempt k =
-    match f () with
-    | r -> Some r
-    | exception Support.Fault.Device_fault info ->
-      Metrics.add_device_fault t.metrics_;
-      if k < t.max_retries then begin
-        let backoff = t.retry_backoff_ns *. (2.0 ** float_of_int k) in
-        Metrics.add_retry t.metrics_ ~backoff_ns:backoff;
-        trace_fault_event "retry:gpu" ~uid ~attempt:(k + 1)
-          [ "backoff_ns", Trace.Float backoff ];
-        if Trace.enabled () then
-          Trace.end_span
-            (Trace.begin_span ~cat:"backoff"
-               ~args:
-                 [
-                   "backoff_ns", Trace.Float backoff;
-                   "attempt", Trace.Int (k + 1);
-                 ]
-               "backoff:gpu");
-        attempt (k + 1)
-      end
-      else begin
-        Store.quarantine t.store_ ~device:Artifact.Gpu
-          ~reason:info.Support.Fault.f_reason;
-        Metrics.add_resubstitution t.metrics_;
-        trace_fault_event "resubstitute" ~uid ~attempt:k
-          [
-            "quarantined", Trace.Str "gpu";
-            "reason", Trace.Str info.Support.Fault.f_reason;
-          ];
-        None
-      end
-  in
-  attempt 0
-
+(* Every kernel site runs lowered. A hook answers [None] only on
+   malformed or empty input; the VM then interprets the site inline and
+   raises its canonical diagnostic. *)
 let hooks t : Bytecode.Vm.hooks =
-  (* The legacy direct-dispatch path (--no-lower-mapreduce): a
-     whole-array GPU launch when the policy allows it, inline VM
-     interpretation otherwise. Kept as the differential baseline the
-     lowered path is proven bit-identical against. *)
-  let legacy_map desc args =
-    if not (gpu_allowed t) then None
-    else
-      let uid = desc.Bytecode.Insn.bm_uid in
-      match Store.find_on t.store_ ~uid ~device:Artifact.Gpu with
-      | Some (Artifact.Gpu_kernel { ga_kind = Artifact.G_map site; _ }) ->
-        hook_with_recovery t ~uid (fun () -> run_gpu_map t site args)
-      | Some _ | None -> None
-  in
-  let legacy_reduce desc arg =
-    if not (gpu_allowed t) then None
-    else
-      let uid = desc.Bytecode.Insn.br_uid in
-      match Store.find_on t.store_ ~uid ~device:Artifact.Gpu with
-      | Some (Artifact.Gpu_kernel { ga_kind = Artifact.G_reduce site; _ }) ->
-        hook_with_recovery t ~uid (fun () -> run_gpu_reduce t site arg)
-      | Some _ | None -> None
-  in
   {
     Bytecode.Vm.on_map =
       (fun desc args ->
-        let uid = desc.Bytecode.Insn.bm_uid in
-        match
-          if t.lower_mapreduce then Ir.String_map.find_opt uid t.mr_sites
-          else None
-        with
+        match Ir.String_map.find_opt desc.Bytecode.Insn.bm_uid t.mr_sites with
         | Some ({ Lmr.lw_kind = Lmr.K_map site; _ } as lw) ->
           run_lowered_map t lw site args
-        | Some _ | None -> legacy_map desc args);
+        | Some _ | None -> None);
     on_reduce =
       (fun desc arg ->
-        let uid = desc.Bytecode.Insn.br_uid in
-        match
-          if t.lower_mapreduce then Ir.String_map.find_opt uid t.mr_sites
-          else None
-        with
+        match Ir.String_map.find_opt desc.Bytecode.Insn.br_uid t.mr_sites with
         | Some ({ Lmr.lw_kind = Lmr.K_reduce site; _ } as lw) ->
           run_lowered_reduce t lw site arg
-        | Some _ | None -> legacy_reduce desc arg);
+        | Some _ | None -> None);
     on_run_graph =
       Some
         (fun template ops ~blocking ->

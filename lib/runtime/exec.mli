@@ -47,7 +47,6 @@ val create :
   ?retry_backoff_ns:float ->
   ?cost_model:cost_model ->
   ?replan_factor:float ->
-  ?lower_mapreduce:bool ->
   ?map_chunks:int ->
   ?reduce_chunks:int ->
   Bytecode.Compile.unit_ ->
@@ -85,13 +84,13 @@ val create :
     planned adaptively by effective cost even under a manual policy,
     so the demotion takes effect. See [docs/PLACEMENT.md].
 
-    [lower_mapreduce] (default on) executes map/reduce kernel sites as
-    lowered scatter/worker/gather task graphs
-    ([Lime_ir.Lower_mapreduce]) under the full plan/actor/steady-state
-    /fault machinery; off restores the legacy whole-array GPU hook.
+    Map/reduce kernel sites always execute as lowered
+    scatter/worker/gather task graphs ([Lime_ir.Lower_mapreduce])
+    under the full plan/actor/steady-state/fault machinery.
     [map_chunks]/[reduce_chunks] force the scatter width (maps default
-    to up to 4 chunks of at least 1024 elements; reduces to 1, because
-    chunked combining reassociates the fold). See [docs/LOWERING.md].
+    to up to 4 chunks of at least 1024 elements; reduces to 1 unless
+    the combiner is proven associative, because chunked combining
+    reassociates the fold). See [docs/LOWERING.md].
 
     @raise Engine_error if [fifo_capacity < 1]. *)
 

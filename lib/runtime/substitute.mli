@@ -21,8 +21,6 @@ type policy =
       (** paper section 7 (future work): pick the placement with the
           lowest estimated cost for the observed stream length *)
 
-val device_order : policy -> Artifact.device list
-
 (** A maximal run of consecutive filters with one chosen
     implementation. *)
 type segment =

@@ -251,6 +251,44 @@ let test_chunk_fault_retried () =
   Alcotest.(check int) "four chunks" 4 m.mr_chunks;
   Alcotest.(check bool) "gpu did the chunks" true (m.gpu_kernels >= 4)
 
+(* Every retry's modeled backoff reaches the trace report, whichever
+   crossing of a lowered site faulted: wire invocations 0-2 ship
+   saxpy's three arguments to the GPU, and 3 is the gathered result's
+   trip home. *)
+let test_retried_crossings_reported () =
+  let w = Workloads.find "saxpy" in
+  let expected = reference w ~size:512 in
+  let c = compiled_of w in
+  List.iter
+    (fun k ->
+      let ctx = Printf.sprintf "saxpy wire:*:at=%d" k in
+      Store.clear_quarantine c.Compiler.store;
+      let engine =
+        Compiler.engine
+          ~policy:(Substitute.Prefer_devices [ Runtime.Artifact.Gpu ])
+          c
+      in
+      let sink = Support.Trace.ring () in
+      Support.Trace.set_sink sink;
+      Fault.install (parse_exn (Printf.sprintf "wire:*:at=%d" k));
+      let result =
+        Fun.protect
+          ~finally:(fun () ->
+            Fault.clear ();
+            Support.Trace.set_sink Support.Trace.null;
+            Store.clear_quarantine c.Compiler.store)
+          (fun () -> Exec.call engine w.entry (w.args ~size:512))
+      in
+      check_identical ~ctx expected result;
+      let m = Metrics.snapshot (Exec.metrics engine) in
+      Alcotest.(check int) (ctx ^ ": one retry") 1 m.retries;
+      let r = Observe.Report.of_sink sink in
+      Alcotest.(check (float 1e-6))
+        (ctx ^ ": report backoff = metrics backoff")
+        m.backoff_ns
+        (r.Observe.Report.rp_backoff_modeled_us *. 1000.0))
+    [ 0; 1; 2; 3 ]
+
 (* --- fault aliasing across fusion ---------------------------------------- *)
 
 (* Fusion must not strand existing fault-injection campaigns: a spec
@@ -415,6 +453,8 @@ let suite =
           `Quick test_chunk_fault_resubstitutes;
         Alcotest.test_case "lowered chunk fault absorbed by retry" `Quick
           test_chunk_fault_retried;
+        Alcotest.test_case "retried crossings reach the report" `Quick
+          test_retried_crossings_reported;
         Alcotest.test_case "pre-fusion fault specs alias onto fused segments"
           `Quick test_fused_segment_honors_prefusion_spec;
         Alcotest.test_case "fault spec grammar" `Quick test_spec_parsing;

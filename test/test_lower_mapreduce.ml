@@ -1,15 +1,15 @@
-(* The cross-path differential harness for the map/reduce lowering.
+(* The oracle harness for the map/reduce lowering.
 
    [Lime_ir.Lower_mapreduce] rewrites every kernel site into a
    scatter/worker/gather task graph and [Runtime.Exec] executes it
    through the ordinary plan/actor/steady-state machinery. That
    rewrite is only admissible if it is *unobservable*: for every
    program, every policy and every stream length the lowered path must
-   produce bit-for-bit the value (or the trap) of the legacy
-   whole-array dispatch it replaces. This suite proves it by brute
-   force over the workload suite, over edge-shaped streams (empty,
-   singleton, length-not-divisible-by-K), and over randomly generated
-   map/reduce bodies with random scatter widths. *)
+   produce bit-for-bit the value (or the trap) of [Lime_ir.Interp]
+   over the unoptimized IR. This suite checks it by brute force over
+   the workload suite, over edge-shaped streams (empty, singleton,
+   length-not-divisible-by-K), and over randomly generated map/reduce
+   bodies with random scatter widths. *)
 
 module Compiler = Liquid_metal.Compiler
 module Lm = Liquid_metal.Lm
@@ -35,37 +35,62 @@ let compile_cached source =
     Hashtbl.add compiled_cache source c;
     c
 
-(* Both paths must agree on traps too (empty reduce, mismatched map
-   arrays), so a run's outcome is a value or a runtime error. *)
+(* The oracle agrees on traps too (empty reduce, mismatched map
+   arrays), so a run's outcome is a value or a runtime error, and
+   traps compare by message. *)
 type outcome = Value of I.v | Trap of string
 
 let show_outcome = function
   | Value v -> Format.asprintf "%a" I.pp v
   | Trap m -> "trap: " ^ m
 
-let run_path ?map_chunks ?reduce_chunks ~policy ~lower source entry args :
+(* Bit-exact agreement: [Wire.Value.equal] compares floats with [=]
+   (NaN equal to NaN), never with a tolerance. *)
+let same_outcome a b =
+  match a, b with
+  | Value (I.Prim x), Value (I.Prim y) -> Wire.Value.equal x y
+  | Trap m, Trap m' -> String.equal m m'
+  | _ -> false
+
+(* The reference: [Lime_ir.Interp] over the unoptimized IR (parse,
+   typecheck, lower), so neither the optimizer nor any backend is
+   shared with the path under test. *)
+let oracle_cache : (string, Ir.program) Hashtbl.t = Hashtbl.create 64
+
+let oracle source entry args : outcome =
+  let prog =
+    match Hashtbl.find_opt oracle_cache source with
+    | Some prog -> prog
+    | None ->
+      let prog =
+        Lime_syntax.Parser.parse ~file:"oracle.lime" source
+        |> Lime_types.Typecheck.check |> Lime_ir.Lower.lower
+      in
+      Hashtbl.add oracle_cache source prog;
+      prog
+  in
+  match I.call prog entry args with
+  | v -> Value v
+  | exception I.Runtime_error m -> Trap m
+
+let run_path ?map_chunks ?reduce_chunks ~policy source entry args :
     outcome * Metrics.snapshot =
   let c = compile_cached source in
   Store.clear_quarantine c.Compiler.store;
-  let engine =
-    Compiler.engine ~policy ~lower_mapreduce:lower ?map_chunks ?reduce_chunks c
-  in
+  let engine = Compiler.engine ~policy ?map_chunks ?reduce_chunks c in
   let out =
     match Exec.call engine entry args with
     | v -> Value v
     | exception I.Runtime_error m -> Trap m
     | exception Bytecode.Vm.Vm_error m -> Trap m
-    (* the legacy whole-array GPU hook surfaces validation failures as
-       device errors; the messages are the canonical ones, so traps
-       compare by message across paths *)
-    | exception Gpu.Simt.Device_error m -> Trap m
   in
   Store.clear_quarantine c.Compiler.store;
   (out, Metrics.snapshot (Exec.metrics engine))
 
 let check_same ~ctx (expected : outcome) (got : outcome) =
-  if Stdlib.compare expected got <> 0 then
-    Alcotest.failf "%s: lowered path diverged from legacy\n  legacy:  %s\n  lowered: %s"
+  if not (same_outcome expected got) then
+    Alcotest.failf
+      "%s: lowered path diverged from the interpreter\n  oracle:  %s\n  lowered: %s"
       ctx (show_outcome expected) (show_outcome got)
 
 (* --- the workload matrix ------------------------------------------------ *)
@@ -94,30 +119,26 @@ let test_workload_differential name () =
   List.iter
     (fun size ->
       let args = w.Workloads.args ~size in
+      let expected = oracle w.Workloads.source w.Workloads.entry args in
       List.iter
         (fun (pname, policy) ->
           let ctx what =
             Printf.sprintf "%s / n=%d / %s / %s" name size pname what
           in
-          let legacy, _ =
-            run_path ~policy ~lower:false w.Workloads.source
-              w.Workloads.entry args
-          in
           let lowered, m =
-            run_path ~policy ~lower:true w.Workloads.source w.Workloads.entry
-              args
+            run_path ~policy w.Workloads.source w.Workloads.entry args
           in
-          check_same ~ctx:(ctx "lowered") legacy lowered;
+          check_same ~ctx:(ctx "lowered") expected lowered;
           (* Forced map scatter width that does not divide the stream.
              Reduces keep their default K=1: a wider reduce
              reassociates the fold, which floating-point combines can
              observe — the exact-arithmetic reassociation cases live in
              [test_edge_lengths_reduce]. *)
           let forced, _ =
-            run_path ~policy ~lower:true ~map_chunks:3 w.Workloads.source
+            run_path ~policy ~map_chunks:3 w.Workloads.source
               w.Workloads.entry args
           in
-          check_same ~ctx:(ctx "map_chunks=3") legacy forced;
+          check_same ~ctx:(ctx "map_chunks=3") expected forced;
           if w.Workloads.category = Workloads.Gpu_map && m.Metrics.mr_runs = 0
           then
             Alcotest.failf
@@ -154,16 +175,14 @@ let test_edge_lengths_map () =
       let args =
         [ Lm.float 2.0; farr n float_of_int; farr n (fun i -> float_of_int (2 * i) -. 1.0) ]
       in
+      let expected = oracle edge_source "Edge.runMap" args in
       List.iter
         (fun (pname, policy) ->
-          let legacy, _ =
-            run_path ~policy ~lower:false edge_source "Edge.runMap" args
-          in
           List.iter
             (fun chunks ->
               let lowered, _ =
-                run_path ~policy ~lower:true ?map_chunks:chunks edge_source
-                  "Edge.runMap" args
+                run_path ~policy ?map_chunks:chunks edge_source "Edge.runMap"
+                  args
               in
               check_same
                 ~ctx:
@@ -171,7 +190,7 @@ let test_edge_lengths_map () =
                      (match chunks with
                      | None -> "auto"
                      | Some k -> string_of_int k))
-                legacy lowered)
+                expected lowered)
             [ None; Some 3; Some 7 ])
         matrix_policies)
     [ 0; 1; 2; 3; 5; 7; 1023; 1025 ]
@@ -183,15 +202,13 @@ let test_edge_lengths_reduce () =
   List.iter
     (fun n ->
       let args = [ farr n float_of_int ] in
+      let expected = oracle edge_source "Edge.runSum" args in
       List.iter
         (fun (pname, policy) ->
-          let legacy, _ =
-            run_path ~policy ~lower:false edge_source "Edge.runSum" args
-          in
           List.iter
             (fun chunks ->
               let lowered, _ =
-                run_path ~policy ~lower:true ?reduce_chunks:chunks edge_source
+                run_path ~policy ?reduce_chunks:chunks edge_source
                   "Edge.runSum" args
               in
               check_same
@@ -200,26 +217,29 @@ let test_edge_lengths_reduce () =
                      (match chunks with
                      | None -> "auto"
                      | Some k -> string_of_int k))
-                legacy lowered)
+                expected lowered)
             [ None; Some 3; Some 4 ])
         matrix_policies)
     [ 1; 2; 3; 5; 100; 1025 ]
 
 (* The validation traps must be path-independent: an empty reduce and
-   mismatched map arrays raise the identical error on both paths. *)
+   mismatched map arrays raise the interpreter's error on every
+   policy. *)
 let test_edge_traps () =
   List.iter
     (fun (what, entry, args) ->
+      let expected = oracle edge_source entry args in
+      (match expected with
+      | Trap _ -> ()
+      | Value v ->
+        Alcotest.failf "%s: expected a trap, got %s" what
+          (Format.asprintf "%a" I.pp v));
       List.iter
         (fun (pname, policy) ->
-          let legacy, _ = run_path ~policy ~lower:false edge_source entry args in
-          let lowered, _ = run_path ~policy ~lower:true edge_source entry args in
-          (match legacy with
-          | Trap _ -> ()
-          | Value v ->
-            Alcotest.failf "%s (%s): expected a trap, got %s" what pname
-              (Format.asprintf "%a" I.pp v));
-          check_same ~ctx:(Printf.sprintf "%s / %s" what pname) legacy lowered)
+          let lowered, _ = run_path ~policy edge_source entry args in
+          check_same
+            ~ctx:(Printf.sprintf "%s / %s" what pname)
+            expected lowered)
         matrix_policies)
     [
       ("empty reduce", "Edge.runSum", [ farr 0 float_of_int ]);
@@ -236,17 +256,10 @@ let test_metrics_account_chunks () =
   let _, m =
     run_path
       ~policy:(Substitute.Prefer_devices [ Runtime.Artifact.Gpu ])
-      ~lower:true ~map_chunks:4 edge_source "Edge.runMap" args
+      ~map_chunks:4 edge_source "Edge.runMap" args
   in
   Alcotest.(check int) "one lowered run" 1 m.Metrics.mr_runs;
-  Alcotest.(check int) "four chunks" 4 m.Metrics.mr_chunks;
-  let _, legacy_m =
-    run_path
-      ~policy:(Substitute.Prefer_devices [ Runtime.Artifact.Gpu ])
-      ~lower:false edge_source "Edge.runMap" args
-  in
-  Alcotest.(check int) "legacy records no lowered runs" 0
-    legacy_m.Metrics.mr_runs
+  Alcotest.(check int) "four chunks" 4 m.Metrics.mr_chunks
 
 (* --- properties --------------------------------------------------------- *)
 
@@ -290,7 +303,7 @@ let qcheck_random_bodies =
   in
   QCheck_alcotest.to_alcotest
     (Test.make ~count:40
-       ~name:"random map bodies x random K == legacy dispatch" gen
+       ~name:"random map bodies x random K == interpreter" gen
        (fun (body, k, n, policy) ->
          let source = map_source_of body in
          let args =
@@ -300,11 +313,8 @@ let qcheck_random_bodies =
              Lm.int_array (Array.init n (fun i -> 5 - (i * 3)));
            ]
          in
-         let legacy, _ = run_path ~policy ~lower:false source "R.run" args in
-         let lowered, _ =
-           run_path ~policy ~lower:true ~map_chunks:k source "R.run" args
-         in
-         Stdlib.compare legacy lowered = 0))
+         let lowered, _ = run_path ~policy ~map_chunks:k source "R.run" args in
+         same_outcome (oracle source "R.run" args) lowered))
 
 (* Random reduces against ground truth: the lowered path at any
    scatter width equals the sequential left fold computed here in
@@ -331,7 +341,7 @@ let qcheck_random_reduces =
        (fun (xs, k, policy) ->
          let expected = Array.fold_left ( + ) xs.(0) (Array.sub xs 1 (Array.length xs - 1)) in
          match
-           run_path ~policy ~lower:true ~reduce_chunks:k reduce_source "S.run"
+           run_path ~policy ~reduce_chunks:k reduce_source "S.run"
              [ Lm.int_array xs ]
          with
          | Value v, _ -> Lm.as_int v = expected
