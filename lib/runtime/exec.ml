@@ -375,7 +375,9 @@ let gpu_batch t (artifact : Artifact.gpu_artifact) (xs : V.t list) : V.t list =
       unpack_stream (ship_to_host ~streaming:fused t result))
 
 (* An FPGA-substituted segment: synthesize the pipeline (stateful
-   receivers become register files) and run it in the RTL simulator. *)
+   receivers become register files) and run it in the RTL simulator.
+   Its stages evaluate on the engine's VM and charge nothing there:
+   the FPGA model charges the simulated cycles instead. *)
 let fpga_batch t (artifact : Artifact.fpga_artifact)
     (filters : (Ir.filter_info * I.v option) list) (xs : V.t list) : V.t list =
   let fused = Artifact.is_fused_uid artifact.fa_uid in
@@ -396,7 +398,10 @@ let fpga_batch t (artifact : Artifact.fpga_artifact)
       let input_ty = Rtl.Netlist.input_ty pipeline in
       let packed = pack_stream input_ty xs in
       let dev_input = unpack_stream (ship_to_device t packed) in
-      let outputs, stats = Rtl.Sim.run (program t) pipeline dev_input in
+      let eval (st : Rtl.Netlist.stage) x =
+        apply_filter t ~charge:(fun _ _ -> ()) st.st_fn st.st_state x
+      in
+      let outputs, stats = Rtl.Sim.run ~eval pipeline dev_input in
       Metrics.add_fpga_run t.metrics_ ~cycles:stats.Rtl.Sim.cycles
         ~ns:(float_of_int (stats.Rtl.Sim.cycles * t.fpga_clock_ns));
       let out_packed = pack_stream (Rtl.Netlist.output_ty pipeline) outputs in

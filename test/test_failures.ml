@@ -116,7 +116,7 @@ let test_infinite_rtl_guard () =
       (List.map (fun f -> f, None) filters)
   in
   match
-    Rtl.Sim.run ~max_cycles:5 prog pl
+    Rtl.Sim.run ~max_cycles:5 ~eval:(Rtl.Sim.interp prog) pl
       (List.init 50 (fun _ -> V.Bit true))
   with
   | exception Rtl.Sim.Simulation_error _ -> ()
