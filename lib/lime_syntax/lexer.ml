@@ -94,6 +94,15 @@ let rec skip_trivia st =
     | Some _ | None -> ())
   | Some _ | None -> ()
 
+(* An int literal, in Java's range: at most 2147483647, or 2147483648,
+   which the parser accepts only as the operand of unary minus. *)
+let int_literal st start digits =
+  match int_of_string_opt digits with
+  | Some i when i <= 2147483648 -> Token.INT_LIT i
+  | Some _ | None ->
+    error st start
+      "integer literal %s is out of range for int (at most 2147483647)" digits
+
 (* A run of digits followed by [b] is a bit literal when every digit is
    binary; [100b] is bit[2]=1, bit[0]=0. Otherwise digit runs lex as
    int or float literals (with optional fraction, exponent, and an
@@ -137,9 +146,8 @@ let lex_number st =
     | Some _ | None -> ());
     if !is_float then
       Token.FLOAT_LIT (float_of_string text)
-    else
-      Token.INT_LIT (int_of_string text)
-  | Some _ | None -> Token.INT_LIT (int_of_string digits)
+    else int_literal st start text
+  | Some _ | None -> int_literal st start digits
 
 let lex_ident st =
   let start = st.pos in

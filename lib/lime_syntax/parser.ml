@@ -167,6 +167,12 @@ and parse_multiplicative st =
 and parse_unary st =
   let loc = cur_loc st in
   match cur st with
+  | Token.MINUS when peek st 1 = Token.INT_LIT 2147483648 ->
+    (* as in Java, the one literal beyond int's range, allowed only
+       here: -2147483648 is int's minimum *)
+    advance st;
+    advance st;
+    mk loc (Ast.Int_lit (-2147483648))
   | Token.MINUS ->
     advance st;
     mk loc (Ast.Unop (Ast.Neg, parse_unary st))
@@ -261,6 +267,9 @@ and postfix_loop st (e : Ast.expr) =
 and parse_primary st =
   let loc = cur_loc st in
   match cur st with
+  | Token.INT_LIT i when i > 2147483647 ->
+    error st "integer literal %d is out of range for int (at most 2147483647)"
+      i
   | Token.INT_LIT i ->
     advance st;
     mk loc (Ast.Int_lit i)

@@ -73,6 +73,7 @@ let rec expr_text (e : Ast.expr) : string =
 (* Receivers and indexing bases need parentheses unless atomic. *)
 and atom (e : Ast.expr) : string =
   match e.desc with
+  | Ast.Int_lit i when i < 0 -> "(" ^ expr_text e ^ ")"
   | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _ | Ast.Bit_lit _
   | Ast.Name _ | Ast.Qualified _ | Ast.This | Ast.Call _ | Ast.Index _
   | Ast.Length _ | Ast.Source _ | Ast.Sink _ ->
