@@ -20,17 +20,52 @@ let no_hooks =
 
 type result = { value : v; executed : int }
 
-(* A function activation's frame: its locals, then one slot per
-   operand-stack position. *)
-type frame = v array
+(* A static type. [None] is the unknown type: its values stay boxed. *)
+type ty = Ir.ty option
 
-(* A bytecode function: its frame size and its body. The body starts
-   as a stub that specialises the code into closures on the first
-   call and replaces itself. *)
+(* The slot classes: ints and booleans (as 0 or 1) unboxed, floats
+   flat, and everything else boxed. *)
+type cls = Ints | Floats | Boxed
+
+let cls_of : ty -> cls = function
+  | Some (Ir.I32 | Ir.Bool) -> Ints
+  | Some Ir.F32 -> Floats
+  | _ -> Boxed
+
+let cls_index = function Ints -> 0 | Floats -> 1 | Boxed -> 2
+
+(* A function activation's frame: one array per slot class. A slot is a
+   local or an operand-stack position, in the array of its static
+   type's class. *)
+type frame = { ints : int array; floats : float array; boxed : v array }
+
+let no_frame = { ints = [||]; floats = [||]; boxed = [||] }
+
+(* Where a function's values live. Each local has one static type. The
+   operand stack has static types before each instruction, top first
+   ([None] where unreachable; index [n] is falling off the end). A
+   class's array holds its locals, then its typed constants, which a
+   frame gets when it is made, then one home per stack depth. So every
+   typed operand is a slot. *)
+type layout = {
+  local_ty : ty array;
+  local_at : int array;  (** each local's index in its class's array *)
+  stacks : ty list option array;
+  const_at : int array;  (** per pc: a typed constant's slot, or -1 *)
+  int_consts : (int * int) list;
+  float_consts : (int * float) list;
+  base : int array;  (** per class: where its stack homes start *)
+  size : int array;  (** per class: the length of its array *)
+}
+
+(* A bytecode function. The body starts as a stub that specialises the
+   code into closures on the first call and replaces itself. *)
 type fn = {
   code : Compile.code;
-  frame_size : int;
+  layout : layout;
+  params : (frame -> v -> unit) array;  (** binds a host argument *)
   mutable body : state -> frame -> v;
+  mutable spare : frame;  (** a frame no activation holds, or [no_frame] *)
 }
 
 and callee =
@@ -69,35 +104,302 @@ let as_bool (x : v) =
   | I.Prim (V.Bool b) -> b
   | _ -> fail "expected a boolean on the operand stack"
 
+let as_float (x : v) =
+  match x with
+  | I.Prim (V.Float f) -> f
+  | _ -> fail "expected a float on the operand stack"
+
+(* An int-class value of type [t] (int or boolean), unboxed and boxed. *)
+let unbox_int (t : Ir.ty) : v -> int =
+  if t = Ir.Bool then fun x -> Bool.to_int (as_bool x) else as_int
+
+let box_int (t : Ir.ty) i : V.t = if t = Ir.Bool then V.Bool (i <> 0) else V.Int i
+
+(* --- typed arithmetic -------------------------------------------------- *)
+
+(* [Wire.Value]'s 32-bit wrapping and f32 rounding, restated so they
+   inline here: a build that passes [-opaque] (dune's dev profile)
+   never inlines a call into another library, and boxes a float to
+   pass it. The operator tests pin both against the interpreter. *)
+let[@inline] norm32 v = (v lsl 31) asr 31
+let[@inline] f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
+let division_by_zero () = raise (I.Runtime_error "division by zero")
+
+let[@inline] feq (x : float) y = x = y || (x <> x && y <> y)
+
+(* The int-class operators, exactly as [Interp.eval_binop] computes
+   them; booleans are 0 or 1. *)
+let[@inline] int_op (op : Ir.binop) (x : int) (y : int) : int =
+  match op with
+  | Ir.Add_i -> norm32 (x + y)
+  | Ir.Sub_i -> norm32 (x - y)
+  | Ir.Mul_i -> norm32 (x * y)
+  | Ir.Div_i -> if y = 0 then division_by_zero () else norm32 (x / y)
+  | Ir.Rem_i -> if y = 0 then division_by_zero () else norm32 (x mod y)
+  | Ir.Shl_i -> norm32 (x lsl (y land 31))
+  | Ir.Shr_i -> norm32 (norm32 x asr (y land 31))
+  | Ir.And_i | Ir.And_b -> x land y
+  | Ir.Or_i | Ir.Or_b -> x lor y
+  | Ir.Xor_i -> norm32 (x lxor y)
+  | Ir.Xor_b -> x lxor y
+  | Ir.Eq -> Bool.to_int (x = y)
+  | Ir.Neq -> Bool.to_int (x <> y)
+  | Ir.Lt_i -> Bool.to_int (x < y)
+  | Ir.Leq_i -> Bool.to_int (x <= y)
+  | Ir.Gt_i -> Bool.to_int (x > y)
+  | Ir.Geq_i -> Bool.to_int (x >= y)
+  | _ -> assert false
+
+let[@inline] float_op (op : Ir.binop) (x : float) (y : float) : float =
+  match op with
+  | Ir.Add_f -> f32 (x +. y)
+  | Ir.Sub_f -> f32 (x -. y)
+  | Ir.Mul_f -> f32 (x *. y)
+  | Ir.Div_f -> f32 (x /. y)
+  | Ir.Rem_f -> f32 (Float.rem x y)
+  | _ -> assert false
+
+(* Float comparisons; [==] holds for NaN, as [Wire.Value.equal] says *)
+let[@inline] float_cmp (op : Ir.binop) (x : float) (y : float) : int =
+  match op with
+  | Ir.Lt_f -> Bool.to_int (x < y)
+  | Ir.Leq_f -> Bool.to_int (x <= y)
+  | Ir.Gt_f -> Bool.to_int (x > y)
+  | Ir.Geq_f -> Bool.to_int (x >= y)
+  | Ir.Eq -> Bool.to_int (feq x y)
+  | Ir.Neq -> Bool.to_int (not (feq x y))
+  | _ -> assert false
+
+(* A typed operator's closure on slots [i] and [j] into slot [d], one
+   per slot class, or [None] where these operand types do not run
+   unboxed. *)
+let typed_binop (op : Ir.binop) (a : ty) (b : ty) i j d (k : code) : code option =
+  match op, a, b with
+  | ( ( Ir.Add_i | Ir.Sub_i | Ir.Mul_i | Ir.Div_i | Ir.Rem_i | Ir.Shl_i | Ir.Shr_i
+      | Ir.And_i | Ir.Or_i | Ir.Xor_i | Ir.Lt_i | Ir.Leq_i | Ir.Gt_i | Ir.Geq_i | Ir.Eq
+      | Ir.Neq ),
+      Some Ir.I32,
+      Some Ir.I32 )
+  | (Ir.And_b | Ir.Or_b | Ir.Xor_b | Ir.Eq | Ir.Neq), Some Ir.Bool, Some Ir.Bool ->
+    Some
+      (fun st fr ->
+        let r = fr.ints in
+        r.(d) <- int_op op r.(i) r.(j);
+        k st fr)
+  | (Ir.Add_f | Ir.Sub_f | Ir.Mul_f | Ir.Div_f | Ir.Rem_f), Some Ir.F32, Some Ir.F32 ->
+    Some
+      (fun st fr ->
+        let r = fr.floats in
+        r.(d) <- float_op op r.(i) r.(j);
+        k st fr)
+  | (Ir.Lt_f | Ir.Leq_f | Ir.Gt_f | Ir.Geq_f | Ir.Eq | Ir.Neq), Some Ir.F32, Some Ir.F32 ->
+    Some
+      (fun st fr ->
+        let r = fr.floats in
+        fr.ints.(d) <- float_cmp op r.(i) r.(j);
+        k st fr)
+  | _ -> None
+
+(* Element [i] of array [p] read or written unboxed: the fast path
+   for the representation the element type has, else the boxed access
+   with its traps. An unchecked access keeps OCaml's own bounds check. *)
+let[@inline] in_bounds checked n i = (not checked) || (i >= 0 && i < n)
+
+let[@inline] get_int want checked (p : v) i =
+  match want, p with
+  | Ir.I32, I.Prim (V.Int_array xs) when in_bounds checked (Array.length xs) i -> xs.(i)
+  | Ir.Bool, I.Prim (V.Bool_array xs) when in_bounds checked (Array.length xs) i ->
+    Bool.to_int xs.(i)
+  | _ ->
+    let get = if checked then I.array_get else I.array_get_unchecked in
+    unbox_int want (I.Prim (get (prim p) i))
+
+let[@inline] get_float checked (p : v) i =
+  match p with
+  | I.Prim (V.Float_array xs) when in_bounds checked (Array.length xs) i -> xs.(i)
+  | _ ->
+    let get = if checked then I.array_get else I.array_get_unchecked in
+    as_float (I.Prim (get (prim p) i))
+
+let[@inline] set_int want checked (p : v) i x =
+  match want, p with
+  | Ir.I32, I.Prim (V.Int_array xs) when in_bounds checked (Array.length xs) i ->
+    xs.(i) <- x
+  | Ir.Bool, I.Prim (V.Bool_array xs) when in_bounds checked (Array.length xs) i ->
+    xs.(i) <- x <> 0
+  | _ ->
+    let set = if checked then I.array_set else I.array_set_unchecked in
+    set (prim p) i (box_int want x)
+
+let[@inline] set_float checked (p : v) i x =
+  match p with
+  | I.Prim (V.Float_array xs) when in_bounds checked (Array.length xs) i -> xs.(i) <- x
+  | _ ->
+    let set = if checked then I.array_set else I.array_set_unchecked in
+    set (prim p) i (V.Float x)
+
+(* --- operands ------------------------------------------------------------ *)
+
 (* Where a pushed value lives while its block runs: a constant, or a
-   frame slot (a local, or an operand-stack position). *)
-type operand = Const of v | Slot of int
+   frame slot (a local, or an operand-stack position) in the array of
+   its static type's class. *)
+type loc = Const of v | Slot of int
+type operand = { ty : ty; loc : loc }
 
-let read = function
-  | Const x -> fun (_ : frame) -> x
-  | Slot i -> fun (fr : frame) -> fr.(i)
+(* An operand boxed: a value leaving the frame. *)
+let read_boxed (o : operand) : frame -> v =
+  match o.loc, cls_of o.ty with
+  | Const x, _ -> fun _ -> x
+  | Slot i, Boxed -> fun fr -> fr.boxed.(i)
+  | Slot i, Floats -> fun fr -> I.Prim (V.Float fr.floats.(i))
+  | Slot i, Ints ->
+    if o.ty = Some Ir.Bool then fun fr -> I.Prim (V.Bool (fr.ints.(i) <> 0))
+    else fun fr -> I.Prim (V.Int fr.ints.(i))
 
-(* A binary operation writing slot [d], specialised on where its
-   operands live. The right operand is unwrapped first, as it always
-   was, so a type error names the same operand. *)
-let binop op a b d (k : code) : code =
-  match a, b with
-  | Slot i, Slot j ->
+(* An operand as an unboxed int or boolean; one not statically of type
+   [want] is read boxed and unboxed, with the trap that has. (There is
+   no float reader: a closure's float result is boxed, so code reads
+   float slots directly.) *)
+let read_int (want : Ir.ty) (o : operand) : frame -> int =
+  match o.loc with
+  | Slot i when o.ty = Some want -> fun fr -> fr.ints.(i)
+  | _ ->
+    let r = read_boxed o and unbox = unbox_int want in
+    fun fr -> unbox (r fr)
+
+(* Unbox a value into slot [d] of static type [t]. *)
+let store_v (t : ty) d : frame -> v -> unit =
+  match t with
+  | Some ((Ir.I32 | Ir.Bool) as w) ->
+    let unbox = unbox_int w in
+    fun fr x -> fr.ints.(d) <- unbox x
+  | Some Ir.F32 -> fun fr x -> fr.floats.(d) <- as_float x
+  | _ -> fun fr x -> fr.boxed.(d) <- x
+
+(* --- emitters: each takes the code that follows it ----------------------- *)
+
+(* An operation whose value arrives boxed, written into slot [d] of
+   static type [t]. *)
+let boxed_result t d (f : state -> frame -> v) (k : code) : code =
+  let set = store_v t d in
+  fun st fr ->
+    set fr (f st fr);
+    k st fr
+
+(* Copy an operand into slot [d] of static type [t]. *)
+let copy (o : operand) (t : ty) d (k : code) : code =
+  match cls_of t, o.loc with
+  | Ints, Slot i when o.ty = t ->
     fun st fr ->
-      let y = prim fr.(j) in
-      fr.(d) <- I.Prim (I.eval_binop op (prim fr.(i)) y);
+      let r = fr.ints in
+      r.(d) <- r.(i);
       k st fr
-  | Slot i, Const y ->
-    let y = prim y in
+  | Floats, Slot i when o.ty = t ->
     fun st fr ->
-      fr.(d) <- I.Prim (I.eval_binop op (prim fr.(i)) y);
+      let r = fr.floats in
+      r.(d) <- r.(i);
       k st fr
-  | a, b ->
-    let a = read a and b = read b in
+  | _ ->
+    let x = read_boxed o in
+    boxed_result t d (fun _ fr -> x fr) k
+
+(* A binary operation into slot [d] of static type [t]. Typed operands
+   run unboxed; untyped ones take the boxed path through
+   [Interp.eval_binop], which unwraps the right operand first, as the
+   VM always has. *)
+let binop op (a : operand) (b : operand) t d (k : code) : code =
+  let typed =
+    match a.loc, b.loc with
+    | Slot i, Slot j -> typed_binop op a.ty b.ty i j d k
+    | _ -> None
+  in
+  match typed with
+  | Some code -> code
+  | None ->
+    let a = read_boxed a and b = read_boxed b in
+    boxed_result t d
+      (fun _ fr ->
+        let y = prim (b fr) in
+        I.Prim (I.eval_binop op (prim (a fr)) y))
+      k
+
+let unop op (a : operand) t d (k : code) : code =
+  match op, a.ty, a.loc with
+  | Ir.Neg_i, Some Ir.I32, Slot i ->
     fun st fr ->
-      let y = prim (b fr) in
-      fr.(d) <- I.Prim (I.eval_binop op (prim (a fr)) y);
+      let r = fr.ints in
+      r.(d) <- norm32 (-r.(i));
       k st fr
+  | Ir.Bnot_i, Some Ir.I32, Slot i ->
+    fun st fr ->
+      let r = fr.ints in
+      r.(d) <- norm32 (lnot r.(i));
+      k st fr
+  | Ir.Not_b, Some Ir.Bool, Slot i ->
+    fun st fr ->
+      let r = fr.ints in
+      r.(d) <- 1 - r.(i);
+      k st fr
+  | Ir.Neg_f, Some Ir.F32, Slot i ->
+    fun st fr ->
+      let r = fr.floats in
+      r.(d) <- f32 (-.r.(i));
+      k st fr
+  | Ir.I2f, Some Ir.I32, Slot i ->
+    fun st fr ->
+      fr.floats.(d) <- f32 (float_of_int fr.ints.(i));
+      k st fr
+  | _ ->
+    let a = read_boxed a in
+    boxed_result t d (fun _ fr -> I.Prim (I.eval_unop op (prim (a fr)))) k
+
+(* An array load into slot [d] of static type [t], the element type.
+   The index is unwrapped before the array, as it always was. *)
+let aload checked (a : operand) (idx : operand) t d (k : code) : code =
+  match t, a.loc, idx with
+  | Some ((Ir.I32 | Ir.Bool) as w), Slot ai, { ty = Some Ir.I32; loc = Slot ii } ->
+    fun st fr ->
+      fr.ints.(d) <- get_int w checked fr.boxed.(ai) fr.ints.(ii);
+      k st fr
+  | Some Ir.F32, Slot ai, { ty = Some Ir.I32; loc = Slot ii } ->
+    fun st fr ->
+      fr.floats.(d) <- get_float checked fr.boxed.(ai) fr.ints.(ii);
+      k st fr
+  | _ ->
+    let get = if checked then I.array_get else I.array_get_unchecked in
+    let a = read_boxed a and idx = read_int Ir.I32 idx in
+    boxed_result t d
+      (fun _ fr ->
+        let i = idx fr in
+        I.Prim (get (prim (a fr)) i))
+      k
+
+(* An array store. The value is unwrapped first, then the index, then
+   the array, as they always were. *)
+let astore checked (a : operand) (idx : operand) (x : operand) (k : code) : code =
+  let elem = match a.ty with Some (Ir.Arr t) when x.ty = Some t -> Some t | _ -> None in
+  match elem, a.loc, idx, x.loc with
+  | Some ((Ir.I32 | Ir.Bool) as w), Slot ai, { ty = Some Ir.I32; loc = Slot ii }, Slot xi
+    ->
+    fun st fr ->
+      let r = fr.ints in
+      set_int w checked fr.boxed.(ai) r.(ii) r.(xi);
+      k st fr
+  | Some Ir.F32, Slot ai, { ty = Some Ir.I32; loc = Slot ii }, Slot xi ->
+    fun st fr ->
+      set_float checked fr.boxed.(ai) fr.ints.(ii) fr.floats.(xi);
+      k st fr
+  | _ ->
+    let set = if checked then I.array_set else I.array_set_unchecked in
+    let a = read_boxed a and idx = read_int Ir.I32 idx and x = read_boxed x in
+    fun st fr ->
+      let x = prim (x fr) in
+      let i = idx fr in
+      set (prim (a fr)) i x;
+      k st fr
+
+(* --- static types -------------------------------------------------------- *)
 
 (* Operands an instruction pops, and values it pushes. *)
 let stack_effect (i : Insn.t) =
@@ -115,37 +417,233 @@ let stack_effect (i : Insn.t) =
   | Insn.CALL (_, n) | Insn.MKGRAPH (_, n) -> n, 1
   | Insn.MAP d -> List.length d.Insn.bm_flags, 1
 
-(* The operand-stack depth before each instruction ([-1] where
-   unreachable; index [n] is falling off the end), and the deepest
-   stack. An instruction that would underflow traps, so nothing
+(* IR operators are monomorphic, so the op gives its result's type. *)
+let unop_ty : Ir.unop -> Ir.ty = function
+  | Ir.Neg_i | Ir.Bnot_i -> Ir.I32
+  | Ir.Neg_f | Ir.I2f -> Ir.F32
+  | Ir.Not_b -> Ir.Bool
+
+let binop_ty : Ir.binop -> Ir.ty = function
+  | Ir.Add_i | Ir.Sub_i | Ir.Mul_i | Ir.Div_i | Ir.Rem_i | Ir.Shl_i | Ir.Shr_i
+  | Ir.And_i | Ir.Or_i | Ir.Xor_i ->
+    Ir.I32
+  | Ir.Add_f | Ir.Sub_f | Ir.Mul_f | Ir.Div_f | Ir.Rem_f -> Ir.F32
+  | Ir.And_bit | Ir.Or_bit | Ir.Xor_bit -> Ir.Bit
+  | Ir.And_b | Ir.Or_b | Ir.Xor_b | Ir.Eq | Ir.Neq | Ir.Lt_i | Ir.Leq_i | Ir.Gt_i
+  | Ir.Geq_i | Ir.Lt_f | Ir.Leq_f | Ir.Gt_f | Ir.Geq_f ->
+    Ir.Bool
+
+(* The operand stack after [i], from the one before it. Intrinsics win
+   over functions and return a float. *)
+let step (u : Compile.unit_) (local_ty : ty array) (i : Insn.t) (s : ty list) =
+  let rec drop k s = if k = 0 then s else drop (k - 1) (List.tl s) in
+  let rest = drop (fst (stack_effect i)) s in
+  let top = match s with t :: _ -> t | [] -> None in
+  match i with
+  | Insn.CONST k -> Some (Ir.operand_ty (Ir.O_const k)) :: rest
+  | Insn.LOAD l -> local_ty.(l) :: rest
+  | Insn.DUP -> top :: s
+  | Insn.UNOP op -> Some (unop_ty op) :: rest
+  | Insn.BINOP op -> Some (binop_ty op) :: rest
+  | Insn.ALOAD | Insn.ALOAD_U ->
+    (match s with _ :: Some (Ir.Arr t) :: _ -> Some t | _ -> None) :: rest
+  | Insn.ALEN -> Some Ir.I32 :: rest
+  | Insn.NEWARR t -> Some (Ir.Arr t) :: rest
+  | Insn.FREEZE -> top :: rest
+  | Insn.GETFIELD slot ->
+    let field =
+      match top with
+      | Some (Ir.Obj cls) -> (
+        match Ir.String_map.find_opt cls u.u_program.Ir.classes with
+        | Some meta -> Option.map snd (List.nth_opt meta.Ir.cm_fields slot)
+        | None -> None)
+      | _ -> None
+    in
+    field :: rest
+  | Insn.NEW cls -> Some (Ir.Obj cls) :: rest
+  | Insn.CALL (key, _) ->
+    (if Lime_ir.Intrinsics.is_intrinsic key then Some Ir.F32
+     else
+       Option.map
+         (fun (c : Compile.code) -> c.c_ret)
+         (Ir.String_map.find_opt key u.u_funcs))
+    :: rest
+  | Insn.MAP d -> Some (Ir.Arr d.bm_elem_ty) :: rest
+  | Insn.REDUCE d -> Some d.br_elem_ty :: rest
+  | Insn.MKGRAPH _ -> Some Ir.Graph :: rest
+  | Insn.STORE _ | Insn.POP | Insn.RET | Insn.RETVOID | Insn.JMP _ | Insn.JMPF _
+  | Insn.ASTORE | Insn.ASTORE_U | Insn.PUTFIELD _ | Insn.RUNGRAPH _ ->
+    rest
+
+(* The operand stack's static types before each instruction, under the
+   locals' types; whether every join agrees on them; and the typed
+   locals a [store] of another type demotes. The depth must agree at
+   every join. An instruction that would underflow traps, so nothing
    follows it. *)
-let stack_depths (c : Compile.code) =
+let stack_types u (c : Compile.code) local_ty =
   let insns = c.c_insns in
   let n = Array.length insns in
-  let depth = Array.make (n + 1) (-1) and deepest = ref 0 in
-  let rec visit pc d =
+  let stacks = Array.make (n + 1) None in
+  let agree = ref true and demoted = ref [] in
+  let rec visit pc s =
     let pc = min pc n in
-    if depth.(pc) < 0 then begin
-      depth.(pc) <- d;
-      if pc < n then
-        let pops, pushes = stack_effect insns.(pc) in
-        if d >= pops then begin
-          let d' = d - pops + pushes in
-          deepest := max !deepest d';
-          match insns.(pc) with
-          | Insn.RET | Insn.RETVOID -> ()
-          | Insn.JMP t -> visit t d'
-          | Insn.JMPF t ->
-            visit (pc + 1) d';
-            visit t d'
-          | _ -> visit (pc + 1) d'
-        end
-    end
-    else if pc < n && depth.(pc) <> d then
-      fail "%s: inconsistent operand stack depth at %d" c.c_key pc
+    match stacks.(pc) with
+    | Some s' ->
+      if pc < n then begin
+        if List.compare_lengths s s' <> 0 then
+          fail "%s: inconsistent operand stack depth at %d" c.c_key pc;
+        if s <> s' then agree := false
+      end
+    | None ->
+      stacks.(pc) <- Some s;
+      if pc < n && List.length s >= fst (stack_effect insns.(pc)) then begin
+        (match insns.(pc), s with
+        | Insn.STORE l, t :: _ when local_ty.(l) <> None && t <> local_ty.(l) ->
+          demoted := l :: !demoted
+        | _ -> ());
+        let s' = step u local_ty insns.(pc) s in
+        match insns.(pc) with
+        | Insn.RET | Insn.RETVOID -> ()
+        | Insn.JMP t -> visit t s'
+        | Insn.JMPF t ->
+          visit (pc + 1) s';
+          visit t s'
+        | _ -> visit (pc + 1) s'
+      end
   in
-  visit 0 0;
-  depth, !deepest
+  visit 0 [];
+  stacks, !agree, !demoted
+
+(* The declared type of each local, when the code is the IR function's
+   of its key: a local's slot is its variable's id. *)
+let ir_local_types (u : Compile.unit_) (c : Compile.code) =
+  match Ir.find_func u.u_program c.c_key with
+  | Some f
+    when Ir.var_slot_count f = c.c_slots && List.length f.fn_params = c.c_params ->
+    let tys = Array.make c.c_slots None and seen = Array.make c.c_slots false in
+    Ir.iter_vars
+      (fun v ->
+        let t = Some v.Ir.v_ty in
+        if not seen.(v.v_id) then begin
+          seen.(v.v_id) <- true;
+          tys.(v.v_id) <- t
+        end
+        else if tys.(v.v_id) <> t then tys.(v.v_id) <- None)
+      f;
+    Some tys
+  | _ -> None
+
+(* Type a function's slots. Demotions repeat until no store disagrees
+   with its local. Code the IR does not describe, and code whose stack
+   types disagree at a join, gets the unknown type everywhere: it runs
+   fully boxed. *)
+let layout u (c : Compile.code) =
+  let rec settle local_ty =
+    match stack_types u c local_ty with
+    | stacks, agree, [] -> if agree then Some (local_ty, stacks) else None
+    | _, _, demoted ->
+      List.iter (fun l -> local_ty.(l) <- None) demoted;
+      settle local_ty
+  in
+  let local_ty, stacks =
+    match Option.bind (ir_local_types u c) settle with
+    | Some typed -> typed
+    | None ->
+      let local_ty = Array.make (max c.c_slots c.c_params) None in
+      let stacks, _, _ = stack_types u c local_ty in
+      local_ty, Array.map (Option.map (List.map (fun _ -> None))) stacks
+  in
+  let count = Array.make 3 0 in
+  let next_slot t =
+    let k = cls_index (cls_of t) in
+    count.(k) <- count.(k) + 1;
+    count.(k) - 1
+  in
+  let local_at = Array.map next_slot local_ty in
+  let int_consts = ref [] and float_consts = ref [] in
+  let const_at =
+    Array.mapi
+      (fun pc i ->
+        match i, stacks.(pc + 1) with
+        | Insn.CONST k, Some (t :: _) when stacks.(pc) <> None && cls_of t <> Boxed -> (
+          let at = next_slot t in
+          (match I.const_value k with
+          | V.Float x -> float_consts := (at, x) :: !float_consts
+          | x -> int_consts := (at, unbox_int (Option.get t) (I.Prim x)) :: !int_consts);
+          at)
+        | _ -> -1)
+      c.c_insns
+  in
+  let size = Array.copy count in
+  Array.iter
+    (Option.iter (fun s ->
+         let depth = List.length s in
+         List.iteri
+           (fun j t ->
+             let k = cls_index (cls_of t) in
+             size.(k) <- max size.(k) (count.(k) + depth - j))
+           s))
+    stacks;
+  {
+    local_ty;
+    local_at;
+    stacks;
+    const_at;
+    int_consts = !int_consts;
+    float_consts = !float_consts;
+    base = count;
+    size;
+  }
+
+(* --- frames ---------------------------------------------------------------- *)
+
+(* Each function keeps one spare frame. An activation takes it, or a
+   new one while another activation holds it (recursion, a re-entrant
+   hook). A normal return clears the boxed slots, so a spare frame
+   keeps no value alive, and gives the frame back; an exception drops
+   it. *)
+let take (f : fn) =
+  let fr = f.spare in
+  if fr == no_frame then begin
+    let l = f.layout in
+    let fr =
+      {
+        ints = Array.make l.size.(0) 0;
+        floats = Array.make l.size.(1) 0.0;
+        boxed = Array.make l.size.(2) unit_v;
+      }
+    in
+    List.iter (fun (at, x) -> fr.ints.(at) <- x) l.int_consts;
+    List.iter (fun (at, x) -> fr.floats.(at) <- x) l.float_consts;
+    fr
+  end
+  else begin
+    f.spare <- no_frame;
+    fr
+  end
+
+let release (f : fn) fr =
+  let b = fr.boxed in
+  if Array.length b > 0 then Array.fill b 0 (Array.length b) unit_v;
+  f.spare <- fr
+
+(* Bind a host call's arguments, from the [j]th on. *)
+let rec bind_params (f : fn) fr j = function
+  | [] -> ()
+  | a :: rest ->
+    f.params.(j) fr a;
+    bind_params f fr (j + 1) rest
+
+(* Bind argument [j] of a call to [g] from the caller's operand. *)
+let bind_arg (g : fn) j (a : operand) : frame -> frame -> unit =
+  let t = g.layout.local_ty.(j) and at = g.layout.local_at.(j) in
+  match cls_of t, a.loc with
+  | Ints, Slot i when a.ty = t -> fun fr callee -> callee.ints.(at) <- fr.ints.(i)
+  | Floats, Slot i when a.ty = t ->
+    fun fr callee -> callee.floats.(at) <- fr.floats.(i)
+  | _ ->
+    let x = read_boxed a and set = store_v t at in
+    fun fr callee -> set callee (x fr)
 
 (* Look [key] up once per program. Intrinsics win over functions, as
    they always have; a missing function traps only when called. *)
@@ -160,17 +658,21 @@ let rec resolve p key : callee =
         match Ir.String_map.find_opt key p.unit_.Compile.u_funcs with
         | None -> Missing key
         | Some code ->
-          let depths, deepest = stack_depths code in
+          let l = layout p.unit_ code in
           let f =
             {
               code;
-              frame_size = max code.c_slots code.c_params + deepest;
+              layout = l;
+              params =
+                Array.init code.c_params (fun j ->
+                    store_v l.local_ty.(j) l.local_at.(j));
               body = (fun _ _ -> unit_v);
+              spare = no_frame;
             }
           in
           f.body <-
             (fun st fr ->
-              let body = specialise p f depths in
+              let body = specialise p f in
               f.body <- body;
               body st fr);
           Fn f
@@ -194,9 +696,11 @@ and invoke st (c : callee) (args : v list) : v =
     let n = List.length args in
     if n <> f.code.c_params then
       fail "%s expects %d argument(s), got %d" f.code.c_key f.code.c_params n;
-    let fr = Array.make f.frame_size unit_v in
-    List.iteri (fun i a -> fr.(i) <- a) args;
-    f.body st fr
+    let fr = take f in
+    bind_params f fr 0 args;
+    let v = f.body st fr in
+    release f fr;
+    v
 
 (* Inline map: each element application is a real VM call, so the
    instruction count reflects interpretation. *)
@@ -297,11 +801,12 @@ and run_graph_seq st (template : Ir.graph_template) (ops : v list) : unit =
 
 (* Specialise one function into closures, one chain per basic block.
 
-   The stack depth at every instruction is static, so each operand-stack
-   position is a frame slot after the locals. Within a block the stack
-   is symbolic: a [load] or [const] pushes the operand itself and its
-   consumer reads the local or the constant directly, and an operation
-   followed by a [store] writes straight into the stored local. A
+   The stack depth and static types at every instruction are known, so
+   each operand-stack position is a frame slot after the locals, in the
+   array of its value's class. Within a block the stack is symbolic: a
+   [load] or [const] pushes the operand itself and its consumer reads
+   the local or the constant directly, and an operation followed by a
+   [store] to a local of its class writes straight into that local. A
    deferred [load] of a local is copied into its stack slot before that
    local is written, and every operand is in its stack slot at a block
    boundary.
@@ -311,16 +816,15 @@ and run_graph_seq st (template : Ir.graph_template) (ops : v list) : unit =
    per-instruction count. Callees, classes and templates resolve here,
    once; what fails to resolve traps when executed, with the text and
    at the point the instruction always trapped. *)
-and specialise p (f : fn) depths : code =
-  let c = f.code in
+and specialise p (f : fn) : code =
+  let c = f.code and l = f.layout in
   let insns = c.Compile.c_insns in
   let n = Array.length insns in
-  let nl = max c.c_slots c.c_params in
   let leader = Array.make (n + 1) false in
   leader.(0) <- true;
   Array.iteri
     (fun pc i ->
-      if depths.(pc) >= 0 then
+      if l.stacks.(pc) <> None then
         match i with
         | Insn.JMP t -> leader.(min t n) <- true
         | Insn.JMPF t ->
@@ -334,12 +838,18 @@ and specialise p (f : fn) depths : code =
   (* a jump reads its target when taken, so blocks may refer to each
      other in any order; a jump to the end falls off it *)
   let blocks = Array.make (n + 1) fell_off in
+  let home t depth = l.base.(cls_index (cls_of t)) + depth in
+  (* the static type of the value the instruction at [pc] pushes *)
+  let pushed pc = match l.stacks.(pc + 1) with Some (t :: _) -> t | _ -> None in
+  let local s = { ty = l.local_ty.(s); loc = Slot l.local_at.(s) } in
   let block start : code =
     let nins = ref 0 in
     (* the symbolic stack, top first, and the emitted code in reverse;
        each emitter takes the code that follows it *)
     let stack =
-      ref (List.init depths.(start) (fun k -> Slot (nl + depths.(start) - 1 - k)))
+      let s = Option.get l.stacks.(start) in
+      let depth = List.length s in
+      ref (List.mapi (fun k t -> { ty = t; loc = Slot (home t (depth - 1 - k)) }) s)
     in
     let emitted = ref [] in
     let emit e = emitted := e :: !emitted in
@@ -361,21 +871,21 @@ and specialise p (f : fn) depths : code =
       stack :=
         List.mapi
           (fun k o ->
-            let home = nl + depth - 1 - k in
-            match o with
-            | Slot i when i = home -> o
-            | o when moved o ->
-              let r = read o in
-              emit (fun (next : code) : code ->
-                  fun st fr ->
-                    fr.(home) <- r fr;
-                    next st fr);
-              Slot home
-            | o -> o)
+            let h = home o.ty (depth - 1 - k) in
+            match o.loc with
+            | Slot i when i = h -> o
+            | _ when moved o ->
+              emit (copy o o.ty h);
+              { o with loc = Slot h }
+            | _ -> o)
           !stack
     in
     let settle () = spill (fun _ -> true) in
-    let reads s = function Slot i -> i = s | Const _ -> false in
+    let reads s o =
+      match o.loc with
+      | Slot i -> i = l.local_at.(s) && cls_of o.ty = cls_of l.local_ty.(s)
+      | Const _ -> false
+    in
     (* leaving the block charges its instructions *)
     let jump t : code =
       let t = min t n and k = !nins in
@@ -383,25 +893,29 @@ and specialise p (f : fn) depths : code =
         st.executed <- st.executed + k;
         blocks.(t) st fr
     in
-    (* The slot a value produced at [pc] goes to: the local a
-       following [store] names, or the new top of the stack. Returns
-       the pc after the producer (and its store). *)
+    (* The slot a value produced at [pc] goes to, with its static type:
+       the local a following [store] names when that local is of the
+       value's class, or the new top of the stack. Returns the pc after
+       the producer (and its store). *)
     let dest pc =
-      let next = if pc + 1 < n && not leader.(pc + 1) then Some insns.(pc + 1) else None in
+      let t = pushed pc in
+      let next =
+        if pc + 1 < n && not leader.(pc + 1) then Some insns.(pc + 1) else None
+      in
       match next with
-      | Some (Insn.STORE s) ->
+      | Some (Insn.STORE s) when cls_of l.local_ty.(s) = cls_of t ->
         incr nins;
         spill (reads s);
-        s, pc + 2
+        t, l.local_at.(s), pc + 2
       | _ ->
-        let d = nl + List.length !stack in
-        stack := Slot d :: !stack;
-        d, pc + 1
+        let d = home t (List.length !stack) in
+        stack := { ty = t; loc = Slot d } :: !stack;
+        t, d, pc + 1
     in
     (* an operation that writes its value into the slot it is given *)
-    let produce pc (op : int -> code -> code) =
-      let d, next = dest pc in
-      emit (op d);
+    let produce pc (op : ty -> int -> code -> code) =
+      let t, d, next = dest pc in
+      emit (op t d);
       next
     in
     let underflow pc : code =
@@ -425,17 +939,19 @@ and specialise p (f : fn) depths : code =
         incr nins;
         match insns.(pc) with
         | Insn.CONST k ->
-          stack := Const (I.Prim (I.const_value k)) :: !stack;
+          let loc =
+            if l.const_at.(pc) >= 0 then Slot l.const_at.(pc)
+            else Const (I.Prim (I.const_value k))
+          in
+          stack := { ty = pushed pc; loc } :: !stack;
           go (pc + 1)
         | Insn.LOAD s ->
-          stack := Slot s :: !stack;
+          stack := local s :: !stack;
           go (pc + 1)
         | Insn.STORE s ->
-          let x = read (pop ()) in
+          let x = pop () in
           spill (reads s);
-          emit (fun k st fr ->
-              fr.(s) <- x fr;
-              k st fr);
+          emit (copy x l.local_ty.(s) l.local_at.(s));
           go (pc + 1)
         | Insn.DUP ->
           let x = pop () in
@@ -445,68 +961,54 @@ and specialise p (f : fn) depths : code =
           ignore (pop ());
           go (pc + 1)
         | Insn.UNOP op ->
-          let a = read (pop ()) in
-          go
-            (produce pc (fun d k st fr ->
-                 fr.(d) <- I.Prim (I.eval_unop op (prim (a fr)));
-                 k st fr))
+          let a = pop () in
+          go (produce pc (unop op a))
         | Insn.BINOP op ->
           let b = pop () in
           let a = pop () in
           go (produce pc (binop op a b))
         | (Insn.ALOAD | Insn.ALOAD_U) as i ->
-          let get =
-            if i = Insn.ALOAD then I.array_get else I.array_get_unchecked
-          in
-          let idx = read (pop ()) in
-          let a = read (pop ()) in
-          go
-            (produce pc (fun d k st fr ->
-                 let idx = as_int (idx fr) in
-                 fr.(d) <- I.Prim (get (prim (a fr)) idx);
-                 k st fr))
+          let idx = pop () in
+          let a = pop () in
+          go (produce pc (aload (i = Insn.ALOAD) a idx))
         | (Insn.ASTORE | Insn.ASTORE_U) as i ->
-          let set =
-            if i = Insn.ASTORE then I.array_set else I.array_set_unchecked
-          in
-          let x = read (pop ()) in
-          let idx = read (pop ()) in
-          let a = read (pop ()) in
-          emit (fun k st fr ->
-              let x = prim (x fr) in
-              let idx = as_int (idx fr) in
-              set (prim (a fr)) idx x;
-              k st fr);
+          let x = pop () in
+          let idx = pop () in
+          let a = pop () in
+          emit (astore (i = Insn.ASTORE) a idx x);
           go (pc + 1)
         | Insn.ALEN ->
-          let a = read (pop ()) in
+          let a = read_boxed (pop ()) in
           go
-            (produce pc (fun d k st fr ->
-                 fr.(d) <- I.Prim (V.Int (I.array_length (prim (a fr))));
-                 k st fr))
+            (produce pc (fun t d k ->
+                 if t = Some Ir.I32 then fun st fr ->
+                   fr.ints.(d) <- I.array_length (prim (a fr));
+                   k st fr
+                 else
+                   boxed_result t d
+                     (fun _ fr -> I.Prim (V.Int (I.array_length (prim (a fr)))))
+                     k))
         | Insn.NEWARR ty ->
-          let len = read (pop ()) in
+          let len = read_int Ir.I32 (pop ()) in
           go
-            (produce pc (fun d k st fr ->
-                 fr.(d) <- I.Prim (I.new_array ty (as_int (len fr)));
-                 k st fr))
+            (produce pc (fun t d ->
+                 boxed_result t d (fun _ fr -> I.Prim (I.new_array ty (len fr)))))
         | Insn.FREEZE ->
-          let a = read (pop ()) in
+          let a = read_boxed (pop ()) in
           go
-            (produce pc (fun d k st fr ->
-                 fr.(d) <- I.Prim (I.freeze (prim (a fr)));
-                 k st fr))
+            (produce pc (fun t d ->
+                 boxed_result t d (fun _ fr -> I.Prim (I.freeze (prim (a fr))))))
         | Insn.GETFIELD slot ->
-          let o = read (pop ()) in
+          let o = read_boxed (pop ()) in
           go
-            (produce pc (fun d k st fr ->
-                 (match o fr with
-                 | I.Obj obj -> fr.(d) <- obj.I.obj_fields.(slot)
-                 | _ -> fail "getfield on a non-object");
-                 k st fr))
+            (produce pc (fun t d ->
+                 boxed_result t d (fun _ fr ->
+                     match o fr with
+                     | I.Obj obj -> obj.I.obj_fields.(slot)
+                     | _ -> fail "getfield on a non-object")))
         | Insn.PUTFIELD slot ->
-          let x = read (pop ()) in
-          let o = read (pop ()) in
+          let x = read_boxed (pop ()) in
+          let o = read_boxed (pop ()) in
           emit (fun k st fr ->
               (match o fr with
               | I.Obj obj -> obj.I.obj_fields.(slot) <- x fr
@@ -519,33 +1021,35 @@ and specialise p (f : fn) depths : code =
           | Some meta ->
             let tys = Array.of_list (List.map snd meta.Ir.cm_fields) in
             go
-              (produce pc (fun d k st fr ->
-                   fr.(d) <-
-                     I.Obj
-                       { I.obj_class = cls; obj_fields = Array.map I.default_value tys };
-                   k st fr)))
+              (produce pc (fun t d ->
+                   boxed_result t d (fun _ _ ->
+                       let obj_fields = Array.map I.default_value tys in
+                       I.Obj { I.obj_class = cls; obj_fields }))))
         | Insn.CALL (key, argc) -> (
-          let args = List.map read (pops argc) in
+          let args = pops argc in
           match resolve p key with
           | Fn g when g.code.c_params = argc ->
-            let args = Array.of_list args in
+            let bind = Array.of_list (List.mapi (bind_arg g) args) in
             go
-              (produce pc (fun d k st fr ->
-                   let callee = Array.make g.frame_size unit_v in
-                   for j = 0 to argc - 1 do
-                     callee.(j) <- args.(j) fr
-                   done;
-                   fr.(d) <- g.body st callee;
-                   k st fr))
+              (produce pc (fun t d ->
+                   boxed_result t d (fun st fr ->
+                       let callee = take g in
+                       for j = 0 to argc - 1 do
+                         bind.(j) fr callee
+                       done;
+                       let v = g.body st callee in
+                       release g callee;
+                       v)))
           | c ->
             (* an intrinsic, or the trap of a missing function or a
                wrong argument count, as a call from the host *)
+            let args = List.map read_boxed args in
             go
-              (produce pc (fun d k st fr ->
-                   fr.(d) <- invoke st c (List.map (fun a -> a fr) args);
-                   k st fr)))
+              (produce pc (fun t d ->
+                   boxed_result t d (fun st fr ->
+                       invoke st c (List.map (fun a -> a fr) args)))))
         | Insn.RET ->
-          let x = read (pop ()) and k = !nins in
+          let x = read_boxed (pop ()) and k = !nins in
           fun st fr ->
             st.executed <- st.executed + k;
             x fr
@@ -557,49 +1061,54 @@ and specialise p (f : fn) depths : code =
         | Insn.JMP t ->
           settle ();
           jump t
-        | Insn.JMPF t ->
-          let cond = read (pop ()) in
+        | Insn.JMPF t -> (
+          let cond = pop () in
           settle ();
           let yes = pc + 1 and no = min t n and k = !nins in
-          fun st fr ->
-            st.executed <- st.executed + k;
-            if as_bool (cond fr) then blocks.(yes) st fr else blocks.(no) st fr
+          match cond with
+          | { ty = Some Ir.Bool; loc = Slot i } ->
+            fun st fr ->
+              st.executed <- st.executed + k;
+              if fr.ints.(i) <> 0 then blocks.(yes) st fr else blocks.(no) st fr
+          | _ ->
+            let cond = read_boxed cond in
+            fun st fr ->
+              st.executed <- st.executed + k;
+              if as_bool (cond fr) then blocks.(yes) st fr else blocks.(no) st fr)
         | Insn.MAP desc ->
-          let args = List.map read (pops (List.length desc.bm_flags)) in
+          let args = List.map read_boxed (pops (List.length desc.bm_flags)) in
           let callee = resolve p desc.bm_fn in
           go
-            (produce pc (fun d k st fr ->
-                 let args = List.map (fun a -> a fr) args in
-                 fr.(d) <-
-                   (match st.hooks.on_map desc args with
-                   | Some r -> r
-                   | None -> eval_map st callee desc args);
-                 k st fr))
+            (produce pc (fun t d ->
+                 boxed_result t d (fun st fr ->
+                     let args = List.map (fun a -> a fr) args in
+                     match st.hooks.on_map desc args with
+                     | Some r -> r
+                     | None -> eval_map st callee desc args)))
         | Insn.REDUCE desc ->
-          let a = read (pop ()) in
+          let a = read_boxed (pop ()) in
           let callee = resolve p desc.br_fn in
           go
-            (produce pc (fun d k st fr ->
-                 let a = a fr in
-                 fr.(d) <-
-                   (match st.hooks.on_reduce desc a with
-                   | Some r -> r
-                   | None -> eval_reduce st callee a);
-                 k st fr))
+            (produce pc (fun t d ->
+                 boxed_result t d (fun st fr ->
+                     let a = a fr in
+                     match st.hooks.on_reduce desc a with
+                     | Some r -> r
+                     | None -> eval_reduce st callee a)))
         | Insn.MKGRAPH (uid, argc) -> (
           match Ir.String_map.find_opt uid p.unit_.u_program.Ir.templates with
           | None -> fun _ _ -> fail "no task-graph template %s" uid
           | Some template ->
-            let ops = List.map read (pops argc) in
+            let ops = List.map read_boxed (pops argc) in
             go
-              (produce pc (fun d k st fr ->
-                   let ops = List.map (fun o -> o fr) ops in
-                   st.graph_counter <- st.graph_counter + 1;
-                   st.pending <- (st.graph_counter, (template, ops)) :: st.pending;
-                   fr.(d) <- I.Graph_handle st.graph_counter;
-                   k st fr)))
+              (produce pc (fun t d ->
+                   boxed_result t d (fun st fr ->
+                       let ops = List.map (fun o -> o fr) ops in
+                       st.graph_counter <- st.graph_counter + 1;
+                       st.pending <- (st.graph_counter, (template, ops)) :: st.pending;
+                       I.Graph_handle st.graph_counter))))
         | Insn.RUNGRAPH blocking ->
-          let g = read (pop ()) in
+          let g = read_boxed (pop ()) in
           emit (fun k st fr ->
               (match g fr with
               | I.Graph_handle h -> run_graph st h ~blocking
@@ -612,11 +1121,17 @@ and specialise p (f : fn) depths : code =
     List.fold_left (fun k e -> e k) last !emitted
   in
   for pc = n - 1 downto 0 do
-    if leader.(pc) && depths.(pc) >= 0 then blocks.(pc) <- block pc
+    if leader.(pc) && l.stacks.(pc) <> None then blocks.(pc) <- block pc
   done;
   blocks.(0)
 
-let run ?(hooks = no_hooks) p key args =
-  let st = { prog = p; hooks; executed = 0; graph_counter = 0; pending = [] } in
-  let value = invoke st (resolve p key) args in
+type entry = { e_prog : program; e_callee : callee }
+
+let entry p key = { e_prog = p; e_callee = resolve p key }
+
+let call ?(hooks = no_hooks) e args =
+  let st = { prog = e.e_prog; hooks; executed = 0; graph_counter = 0; pending = [] } in
+  let value = invoke st e.e_callee args in
   { value; executed = st.executed }
+
+let run ?hooks p key args = call ?hooks (entry p key) args

@@ -261,11 +261,9 @@ let kernel_sites p =
   String_map.fold (fun _ f acc -> kernel_sites_block acc f.fn_body) p.funcs []
   |> List.rev
 
-(* Number of virtual-register slots a function needs (ids are dense,
-   assigned from 0 during lowering). *)
-let var_slot_count (f : func) =
-  let max_id = ref (-1) in
-  let see_var v = if v.v_id > !max_id then max_id := v.v_id in
+(* Every variable occurrence in a function: its parameters, then each
+   use and definition in its body. *)
+let iter_vars (see_var : var -> unit) (f : func) =
   let see_operand = function O_var v -> see_var v | O_const _ -> () in
   let see_rhs = function
     | R_op o | R_unop (_, o) | R_alen o | R_freeze o | R_field (o, _) -> see_operand o
@@ -304,5 +302,11 @@ let var_slot_count (f : func) =
     | I_do r -> see_rhs r
   in
   List.iter see_var f.fn_params;
-  see_block f.fn_body;
+  see_block f.fn_body
+
+(* Number of virtual-register slots a function needs (ids are dense,
+   assigned from 0 during lowering). *)
+let var_slot_count (f : func) =
+  let max_id = ref (-1) in
+  iter_vars (fun v -> if v.v_id > !max_id then max_id := v.v_id) f;
   !max_id + 1

@@ -197,6 +197,7 @@ let fpga_backend ~effects (prog : Ir.program) (store : Runtime.Store.t) =
                      fa_uid = uid;
                      fa_filters = chain;
                      fa_verilog = Rtl.Verilog_gen.pipeline_text prog pipeline;
+                     fa_pipeline = pipeline;
                    }))
             (subchains run))
         (relocatable_runs ~suitable:fpga_suitable filters))
@@ -296,6 +297,7 @@ let fused_backend ~effects (prog : Ir.program) (store : Runtime.Store.t)
                  fa_uid = uid;
                  fa_filters = [ f ];
                  fa_verilog = Rtl.Verilog_gen.pipeline_text prog pipeline;
+                 fa_pipeline = pipeline;
                })
         | exception
             (Rtl.Netlist.Synthesis_error reason

@@ -37,6 +37,10 @@ type fpga_artifact = {
   fa_uid : string;
   fa_filters : Ir.filter_info list;
   fa_verilog : string;  (** generated Verilog source *)
+  fa_pipeline : Rtl.Netlist.pipeline;
+      (** the synthesized pipeline [fa_verilog] was generated from,
+          without receivers; a launch binds the segment's receivers
+          and the engine's FIFO depth *)
 }
 
 type native_artifact = {

@@ -303,24 +303,26 @@ let filter_fn_key (f : Ir.filter_info) =
   | Ir.F_instance (cls, m) -> cls ^ "." ^ m
 
 (* One filter application on the VM: the receiver, for an instance
-   filter, then the element. [charge] books the executed instructions
-   to the CPU model or, for a native segment, to the native one. *)
-let apply_filter t ~charge key receiver x =
+   filter, then the element. [fn] is the filter's function, resolved
+   once per actor, batch or launch. [charge] books the executed
+   instructions to the CPU model or, for a native segment, to the
+   native one. *)
+let apply_filter t ~charge fn receiver x =
   let args =
     match receiver with Some r -> [ r; I.Prim x ] | None -> [ I.Prim x ]
   in
-  let r = Bytecode.Vm.run t.vm key args in
+  let r = Bytecode.Vm.call fn args in
   charge t.metrics_ r.Bytecode.Vm.executed;
   I.prim_exn r.Bytecode.Vm.value
 
 (* A bytecode filter's per-element function: one VM call per element,
    charged to the CPU model, under a "bc:" span. *)
 let bytecode_apply t ((f : Ir.filter_info), receiver) =
-  let key = filter_fn_key f in
+  let fn = Bytecode.Vm.entry t.vm (filter_fn_key f) in
   let span_name = "bc:" ^ f.uid in
   fun x ->
     Trace.with_span ~cat:"vm" span_name (fun () ->
-        apply_filter t ~charge:Metrics.add_vm_instructions key receiver x)
+        apply_filter t ~charge:Metrics.add_vm_instructions fn receiver x)
 
 let bytecode_filter_actor t (((f : Ir.filter_info), _) as pair) inp out =
   Actor.filter ~name:("bc:" ^ f.uid) ~f:(bytecode_apply t pair) inp out
@@ -374,32 +376,40 @@ let gpu_batch t (artifact : Artifact.gpu_artifact) (xs : V.t list) : V.t list =
       Metrics.add_gpu_kernel t.metrics_ ~ns:timing.Gpu.Simt.kernel_ns;
       unpack_stream (ship_to_host ~streaming:fused t result))
 
-(* An FPGA-substituted segment: synthesize the pipeline (stateful
-   receivers become register files) and run it in the RTL simulator.
-   Its stages evaluate on the engine's VM and charge nothing there:
-   the FPGA model charges the simulated cycles instead. *)
+(* An FPGA-substituted segment: bind the artifact's synthesized
+   pipeline to the segment's receivers (stateful receivers become
+   register files) and the engine's FIFO depth, and run it in the RTL
+   simulator. A fused module's single stage has no receiver. Its
+   stages evaluate on the engine's VM and charge nothing there: the
+   FPGA model charges the simulated cycles instead. *)
 let fpga_batch t (artifact : Artifact.fpga_artifact)
     (filters : (Ir.filter_info * I.v option) list) (xs : V.t list) : V.t list =
   let fused = Artifact.is_fused_uid artifact.fa_uid in
   if fused then fused_prelude t ~device:"fpga" artifact.fa_uid;
   with_launch_span t ~elements:(List.length xs) ("fpga:" ^ artifact.fa_uid)
     (fun () ->
-      let pipeline =
-        if fused then
-          (* the fused module is fully pipelined (II = 1): the composed
-             datapath behind a shift register, one element per cycle *)
-          Rtl.Synth.pipeline_of_chain (program t) ~name:artifact.fa_uid
-            ~fifo_depth:t.fifo_capacity ~pipelined:true
-            (List.map (fun f -> f, None) artifact.fa_filters)
+      let synthesized = artifact.fa_pipeline in
+      let stages =
+        if fused then synthesized.Rtl.Netlist.pl_stages
         else
-          Rtl.Synth.pipeline_of_chain (program t) ~name:artifact.fa_uid
-            ~fifo_depth:t.fifo_capacity filters
+          List.map2
+            (fun (st : Rtl.Netlist.stage) (_, receiver) ->
+              { st with st_state = receiver })
+            synthesized.pl_stages filters
+      in
+      let pipeline =
+        { synthesized with pl_stages = stages; pl_fifo_depth = t.fifo_capacity }
       in
       let input_ty = Rtl.Netlist.input_ty pipeline in
       let packed = pack_stream input_ty xs in
       let dev_input = unpack_stream (ship_to_device t packed) in
+      let fns =
+        List.map
+          (fun (st : Rtl.Netlist.stage) -> st, Bytecode.Vm.entry t.vm st.st_fn)
+          stages
+      in
       let eval (st : Rtl.Netlist.stage) x =
-        apply_filter t ~charge:(fun _ _ -> ()) st.st_fn st.st_state x
+        apply_filter t ~charge:(fun _ _ -> ()) (List.assq st fns) st.st_state x
       in
       let outputs, stats = Rtl.Sim.run ~eval pipeline dev_input in
       Metrics.add_fpga_run t.metrics_ ~cycles:stats.Rtl.Sim.cycles
@@ -426,10 +436,12 @@ let native_batch t (artifact : Artifact.native_artifact)
       let packed = pack_stream input_ty xs in
       let dev_input = unpack_stream (ship_to_device ~boundary:nb t packed) in
       let stages =
-        List.map (fun (f, receiver) -> filter_fn_key f, receiver) filters
+        List.map
+          (fun (f, receiver) -> Bytecode.Vm.entry t.vm (filter_fn_key f), receiver)
+          filters
       in
-      let apply x (key, receiver) =
-        apply_filter t ~charge:Metrics.add_native_instructions key receiver x
+      let apply x (fn, receiver) =
+        apply_filter t ~charge:Metrics.add_native_instructions fn receiver x
       in
       let outputs =
         List.map (fun x -> List.fold_left apply x stages) dev_input
@@ -1231,6 +1243,7 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
   mr_record_plan t ~uid plan;
   Metrics.add_mr_run t.metrics_ ~chunks:k;
   let seg = ref (mr_seg_of_plan plan) in
+  let fn = Bytecode.Vm.entry t.vm lw.Lmr.lw_fn in
   (* Device-resident argument copies, shipped once on first use. GPU
      launches ship every argument over the accelerator boundary;
      native ones ship only the mapped arrays over JNI — receivers and
@@ -1280,7 +1293,7 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
                 else a)
               pairs
           in
-          let r = Bytecode.Vm.run t.vm lw.Lmr.lw_fn elt_args in
+          let r = Bytecode.Vm.call fn elt_args in
           Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
           I.array_set out j (I.prim_exn r.Bytecode.Vm.value)
         done;
@@ -1323,7 +1336,7 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
                 | `Host a -> a)
               shipped
           in
-          let r = Bytecode.Vm.run t.vm lw.Lmr.lw_fn elt_args in
+          let r = Bytecode.Vm.call fn elt_args in
           Metrics.add_native_instructions t.metrics_ r.Bytecode.Vm.executed;
           I.array_set out j (I.prim_exn r.Bytecode.Vm.value)
         done;
@@ -1432,6 +1445,7 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
   mr_record_plan t ~uid plan;
   Metrics.add_mr_run t.metrics_ ~chunks:k;
   let seg = ref (mr_seg_of_plan plan) in
+  let fn = Bytecode.Vm.entry t.vm lw.Lmr.lw_fn in
   let gpu_arg = ref None in
   let native_arg = ref None in
   let gpu_launched = ref false in
@@ -1464,10 +1478,7 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
   let vm_fold ~account arr (off, len) =
     let acc = ref (I.Prim (I.array_get arr off)) in
     for j = 1 to len - 1 do
-      let r =
-        Bytecode.Vm.run t.vm lw.Lmr.lw_fn
-          [ !acc; I.Prim (I.array_get arr (off + j)) ]
-      in
+      let r = Bytecode.Vm.call fn [ !acc; I.Prim (I.array_get arr (off + j)) ] in
       account r.Bytecode.Vm.executed;
       acc := r.Bytecode.Vm.value
     done;
@@ -1570,7 +1581,7 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
       let combine a b =
         let r =
           Trace.with_span ~cat:"vm" ("bc:" ^ uid) (fun () ->
-              Bytecode.Vm.run t.vm lw.Lmr.lw_fn [ a; b ])
+              Bytecode.Vm.call fn [ a; b ])
         in
         Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
         r.Bytecode.Vm.value

@@ -289,6 +289,105 @@ let test_vm_reentrant_hook () =
   Alcotest.(check (list int)) "inner runs" [ 6; 6; 6; 6 ] !inner;
   check_int "unhooked run" 52 (Bytecode.Vm.run p "T.sumInc" [ xs ]).executed
 
+(* Every operator the VM runs unboxed, one Lime function each, on the
+   VM and under the interpreter over edge operands: 32-bit wrapping,
+   [min_int / -1], negative remainders, shift counts of 32 and above
+   and negative ones, signed zeros, infinities, NaN (Lime's [==] holds
+   for it) and zero divisors. Values must agree under
+   [Wire.Value.equal]; traps by constructor and text. *)
+let typed_ops =
+  (* name, operand type, result type, arity, body *)
+  let bin ty ret ops =
+    List.map (fun (name, op) -> name, ty, ret, 2, "a " ^ op ^ " b") ops
+  in
+  bin "int" "int"
+    [ "iadd", "+"; "isub", "-"; "imul", "*"; "idiv", "/"; "irem", "%"; "ishl", "<<";
+      "ishr", ">>"; "iand", "&"; "ior", "|"; "ixor", "^" ]
+  @ bin "int" "boolean"
+      [ "ilt", "<"; "ileq", "<="; "igt", ">"; "igeq", ">="; "ieq", "=="; "ineq", "!=" ]
+  @ bin "boolean" "boolean"
+      [ "band", "&"; "bor", "|"; "bxor", "^"; "bandand", "&&"; "boror", "||";
+        "beq", "=="; "bneq", "!=" ]
+  @ bin "float" "float"
+      [ "fadd", "+"; "fsub", "-"; "fmul", "*"; "fdiv", "/"; "frem", "%" ]
+  @ bin "float" "boolean"
+      [ "flt", "<"; "fleq", "<="; "fgt", ">"; "fgeq", ">="; "feq", "=="; "fneq", "!=" ]
+  @ [
+      "ineg", "int", "int", 1, "-a"; "inot", "int", "int", 1, "~a";
+      "bnot", "boolean", "boolean", 1, "!a"; "fneg", "float", "float", 1, "-a";
+      "widen", "int", "float", 1, "a";
+    ]
+
+let typed_ops_src =
+  let fn (name, ty, ret, arity, body) =
+    let params = if arity = 1 then ty ^ " a" else Printf.sprintf "%s a, %s b" ty ty in
+    Printf.sprintf "  local static %s %s(%s) { return %s; }\n" ret name params body
+  in
+  "class Op {\n" ^ String.concat "" (List.map fn typed_ops) ^ "}\n"
+
+let edge_operands = function
+  | "int" ->
+    List.map (fun i -> V.Int i)
+      [ 0; 1; -1; 2; 7; -7; 31; 32; 33; 64; -33; 2147483647; -2147483648 ]
+  | "boolean" -> [ V.Bool false; V.Bool true ]
+  | _ ->
+    List.map (fun f -> V.Float f)
+      [ 0.0; -0.0; 1.0; -2.5; 3.0; 1.4e-45; 3.4028234663852886e38; infinity;
+        neg_infinity; nan ]
+
+let test_typed_operators () =
+  let u = compile typed_ops_src in
+  let p = Bytecode.Vm.prepare u in
+  let outcome f =
+    match f () with
+    | I.Prim v -> Ok v
+    | v -> Error (Format.asprintf "non-value %a" I.pp v)
+    | exception Bytecode.Vm.Vm_error m -> Error ("Vm_error: " ^ m)
+    | exception I.Runtime_error m -> Error ("Runtime_error: " ^ m)
+  in
+  let show = function Ok v -> V.to_string v | Error m -> m in
+  List.iter
+    (fun (name, ty, _, arity, _) ->
+      let xs = edge_operands ty in
+      let argss =
+        if arity = 1 then List.map (fun x -> [ x ]) xs
+        else List.concat_map (fun x -> List.map (fun y -> [ x; y ]) xs) xs
+      in
+      List.iter
+        (fun args ->
+          let key = "Op." ^ name and args = List.map prim args in
+          let vm = outcome (fun () -> (Bytecode.Vm.run p key args).value) in
+          let ref_ = outcome (fun () -> I.call u.Bytecode.Compile.u_program key args) in
+          let agree =
+            match vm, ref_ with
+            | Ok a, Ok b -> V.equal a b
+            | Error a, Error b -> String.equal a b
+            | _ -> false
+          in
+          if not agree then
+            Alcotest.failf "%s(%s): vm %s, interp %s" name
+              (String.concat ", " (List.map (Format.asprintf "%a" I.pp) args))
+              (show vm) (show ref_))
+        argss)
+    typed_ops
+
+(* A reused frame keeps nothing alive: once a run returns and its
+   argument is dropped, the argument can be collected. *)
+let test_vm_frame_keeps_nothing () =
+  let p = Bytecode.Vm.prepare (compile traps_src) in
+  let weak = Weak.create 1 in
+  let run () =
+    let xs = Array.init 100_000 (fun i -> i) in
+    Weak.set weak 0 (Some xs);
+    let r = Bytecode.Vm.run p "T.get" [ ints xs; int 5 ] in
+    Alcotest.check interp_value "get" (int 5) r.value
+  in
+  run ();
+  Gc.full_major ();
+  Alcotest.(check bool) "argument collected" false (Weak.check weak 0);
+  (* the program, and so its spare frames, stayed alive throughout *)
+  ignore (Sys.opaque_identity p)
+
 (* Property: for random inputs, VM and interpreter agree on a small
    arithmetic-heavy kernel. *)
 let mix_src =
@@ -334,4 +433,8 @@ let suite =
       Alcotest.test_case "vm recursion and reuse" `Quick test_vm_recursion_and_reuse;
       Alcotest.test_case "vm re-entrant hook" `Quick test_vm_reentrant_hook;
       QCheck_alcotest.to_alcotest prop_vm_matches_interp;
+      Alcotest.test_case "vm typed operators match the interpreter" `Quick
+        test_typed_operators;
+      Alcotest.test_case "vm reused frame keeps nothing alive" `Quick
+        test_vm_frame_keeps_nothing;
     ] )

@@ -1,9 +1,9 @@
 (* Whole-program fuzzing: generate random (but always terminating)
-   Lime functions with locals, branches, bounded loops and array
-   traffic, then require the reference interpreter, the bytecode VM and
-   the optimized bytecode VM to agree exactly — same value, or the same
-   trap. This is the broad-spectrum differential net over the three
-   CPU-side execution paths. *)
+   Lime functions with int, float and boolean locals, branches, bounded
+   loops, calls and array traffic, then require the reference
+   interpreter, the bytecode VM and the optimized bytecode VM to agree
+   exactly — same value, or the same trap. This is the broad-spectrum
+   differential net over the three CPU-side execution paths. *)
 
 module I = Lime_ir.Interp
 module V = Wire.Value
@@ -11,69 +11,130 @@ open QCheck2.Gen
 
 (* --- source generator -------------------------------------------------- *)
 
-(* Environment: names of int variables in scope. The function signature
-   is fixed: f(int a, int b). An int array xs of length 8 is always
-   declared first; indices are masked with (e & 7) so access never
-   traps, while a dedicated "risky" form exercises trap agreement. *)
+(* Three functions, all run by the harness. [g(float u, int k, boolean
+   c)] returns a float. [f(int a, int b, float p, boolean q)] returns
+   an int, and [h] with the same parameters returns a float; both may
+   call [g], so typed argument binding and boxed returns meet random
+   code. Each declares an int array xs of length 8 first; indices are
+   masked with (e & 7) so access never traps, while a dedicated "risky"
+   division exercises trap agreement. Floats reach [f]'s result through
+   comparisons, which see signed zeros, infinities and NaN. *)
+
+(* The variables in scope, by type. *)
+type env = { ints : string list; floats : string list; bools : string list }
 
 let fresh_names = [ "x"; "y"; "z"; "w"; "t0"; "t1" ]
+let float_lits = [ "0.0f"; "0.5f"; "1.5f"; "-2.25f"; "3.0f"; "100.0f" ]
 
-let gen_int_expr (env : string list) : string t =
-  sized @@ fix (fun self n ->
-      if n <= 0 then
-        oneof
-          [ map string_of_int (int_range (-20) 200); oneofl env ]
-      else
-        let sub = self (n / 2) in
-        oneof
-          [
-            map2 (fun x y -> Printf.sprintf "(%s + %s)" x y) sub sub;
-            map2 (fun x y -> Printf.sprintf "(%s - %s)" x y) sub sub;
-            map2 (fun x y -> Printf.sprintf "(%s * %s)" x y) sub sub;
-            (* guarded division: never traps *)
-            map2 (fun x y -> Printf.sprintf "(%s / (1 + (%s & 15)))" x y) sub sub;
-            (* risky division: may trap; all engines must agree *)
-            map2 (fun x y -> Printf.sprintf "(%s / (%s %% 5))" x y) sub sub;
-            map2 (fun x y -> Printf.sprintf "(%s ^ %s)" x y) sub sub;
-            map2 (fun x y -> Printf.sprintf "(%s << (%s & 7))" x y) sub sub;
-            map (fun x -> Printf.sprintf "(~%s)" x) sub;
-            map (fun x -> Printf.sprintf "xs[%s & 7]" x) sub;
-            map3
-              (fun c x y -> Printf.sprintf "(%s <= %s ? %s : (0 - 3))" c x y)
-              sub sub sub;
-          ])
+let bin fmt = map2 (Printf.sprintf fmt)
 
-let gen_cond env =
-  let* a = gen_int_expr env in
-  let* b = gen_int_expr env in
-  let* op = oneofl [ "<"; "<="; "=="; "!="; ">" ] in
-  return (Printf.sprintf "%s %s %s" a op b)
+(* Int, float and boolean expressions of size [n]; [~calls] lets a
+   float expression call [g]. *)
+let rec gen_exprs ~calls env n : string t * string t * string t =
+  let vars xs leaf = if xs = [] then leaf else oneof [ leaf; oneofl xs ] in
+  let int_leaf = vars env.ints (map string_of_int (int_range (-20) 200)) in
+  let float_leaf = vars env.floats (oneofl float_lits) in
+  let bool_leaf = vars env.bools (oneofl [ "true"; "false" ]) in
+  if n <= 0 then int_leaf, oneof [ float_leaf; int_leaf ], bool_leaf
+  else
+    let i, f, b = gen_exprs ~calls env (n / 2) in
+    let int_expr =
+      oneof
+        [
+          bin "(%s + %s)" i i;
+          bin "(%s - %s)" i i;
+          bin "(%s * %s)" i i;
+          (* guarded division: never traps *)
+          bin "(%s / (1 + (%s & 15)))" i i;
+          (* risky division: may trap; all engines must agree *)
+          bin "(%s / (%s %% 5))" i i;
+          bin "(%s ^ %s)" i i;
+          bin "(%s << (%s & 7))" i i;
+          map (Printf.sprintf "(~%s)") i;
+          map (Printf.sprintf "xs[%s & 7]") i;
+          map3 (Printf.sprintf "(%s <= %s ? %s : (0 - 3))") i i i;
+          map3 (Printf.sprintf "(%s ? %s : %s)") b i i;
+        ]
+    in
+    let float_expr =
+      oneof
+        ([
+           bin "(%s + %s)" f f;
+           bin "(%s - %s)" f f;
+           bin "(%s * %s)" f f;
+           bin "(%s / %s)" f f;
+           bin "(%s %% %s)" f f;
+           map (Printf.sprintf "(-(%s))") f;
+           (* int-to-float widening *)
+           bin "(%s + %s)" f i;
+           map3 (Printf.sprintf "(%s ? %s : %s)") b f f;
+         ]
+        @
+        if calls then [ map3 (Printf.sprintf "g(%s, %s, %s)") f i b ] else [])
+    in
+    let bool_expr =
+      oneof
+        [
+          map3 (fun x op y -> Printf.sprintf "(%s %s %s)" x op y) i
+            (oneofl [ "<"; "<="; "=="; "!="; ">" ])
+            i;
+          map3 (fun x op y -> Printf.sprintf "(%s %s %s)" x op y) f
+            (oneofl [ "<"; "<="; "=="; "!="; ">"; ">=" ])
+            f;
+          map (Printf.sprintf "(!%s)") b;
+          bin "(%s && %s)" b b;
+          bin "(%s || %s)" b b;
+          bin "(%s == %s)" b b;
+          bin "(%s != %s)" b b;
+        ]
+    in
+    int_expr, float_expr, bool_expr
+
+let gen_int_expr ~calls env = sized (fun n -> let i, _, _ = gen_exprs ~calls env n in i)
+let gen_float_expr ~calls env = sized (fun n -> let _, f, _ = gen_exprs ~calls env n in f)
+let gen_bool_expr ~calls env = sized (fun n -> let _, _, b = gen_exprs ~calls env n in b)
 
 (* Statements consume a name budget so variable declarations stay
    unique; loops use fresh loop counters i<n> with literal bounds. *)
-let gen_stmts env : string t =
+let gen_stmts ~calls env : (env * string list) t =
+  let gen_int = gen_int_expr ~calls and gen_float = gen_float_expr ~calls in
+  let gen_bool = gen_bool_expr ~calls in
   let rec go depth env names loops =
     if names = [] || depth > 3 then return (env, [])
     else
       let leaf_assign =
-        let* target = oneofl env in
-        let* e = gen_int_expr env in
+        let targets =
+          List.map (fun x -> x, gen_int env) env.ints
+          @ List.map (fun x -> x, oneof [ gen_float env; gen_int env ]) env.floats
+          @ List.map (fun x -> x, gen_bool env) env.bools
+        in
+        let* target, e = oneofl targets in
+        let* e = e in
         return (env, [ Printf.sprintf "%s = %s;" target e ])
       in
       let decl =
         match names with
         | [] -> leaf_assign
         | name :: _rest ->
-          let* e = gen_int_expr env in
-          return (name :: env, [ Printf.sprintf "int %s = %s;" name e ])
+          let declare ty env e =
+            map (fun e -> env, [ Printf.sprintf "%s %s = %s;" ty name e ]) e
+          in
+          oneof
+            [
+              declare "int" { env with ints = name :: env.ints } (gen_int env);
+              declare "float"
+                { env with floats = name :: env.floats }
+                (oneof [ gen_float env; gen_int env ]);
+              declare "boolean" { env with bools = name :: env.bools } (gen_bool env);
+            ]
       in
       let astore =
-        let* idx = gen_int_expr env in
-        let* e = gen_int_expr env in
+        let* idx = gen_int env in
+        let* e = gen_int env in
         return (env, [ Printf.sprintf "xs[%s & 7] = %s;" idx e ])
       in
       let branch =
-        let* c = gen_cond env in
+        let* c = gen_bool env in
         let* _, then_ = go (depth + 1) env (List.tl names) loops in
         let* _, else_ = go (depth + 1) env (List.tl names) loops in
         return
@@ -100,32 +161,60 @@ let gen_stmts env : string t =
       in
       let* more = bool in
       if more && depth <= 1 then
-        let remaining = List.filter (fun n -> not (List.mem n env)) names in
+        let declared = env.ints @ env.floats @ env.bools in
+        let remaining = List.filter (fun n -> not (List.mem n declared)) names in
         let* env, rest = go depth env remaining loops in
         return (env, first @ rest)
       else return (env, first)
   in
-  let* env, stmts = go 0 env fresh_names 0 in
-  let* ret = gen_int_expr env in
-  return
-    (String.concat "\n      " (stmts @ [ Printf.sprintf "return %s ^ xs[0];" ret ]))
+  go 0 env fresh_names 0
 
 let gen_program : string t =
-  let env = [ "a"; "b" ] in
-  let* body = gen_stmts env in
+  let body ~calls env ret =
+    let* env, stmts = gen_stmts ~calls env in
+    let* r = ret env in
+    return (String.concat "\n      " (stmts @ [ r ]))
+  in
+  let* g =
+    body ~calls:false { ints = [ "k" ]; floats = [ "u" ]; bools = [ "c" ] } (fun env ->
+        map (Printf.sprintf "return %s;") (gen_float_expr ~calls:false env))
+  in
+  let params = { ints = [ "a"; "b" ]; floats = [ "p" ]; bools = [ "q" ] } in
+  let* f =
+    body ~calls:true params (fun env ->
+        map (Printf.sprintf "return %s ^ xs[0];") (gen_int_expr ~calls:true env))
+  in
+  let* h = gen_float_expr ~calls:true params in
   return
     (Printf.sprintf
        {|
 class Fuzz {
-  local static int f(int a, int b) {
+  local static float g(float u, int k, boolean c) {
+    int[] xs = new int[8];
+    xs[0] = k;
+    %s
+  }
+  local static int f(int a, int b, float p, boolean q) {
     int[] xs = new int[8];
     xs[0] = a;
     xs[7] = b;
     %s
   }
+  local static float h(int a, int b, float p, boolean q) {
+    int[] xs = new int[8];
+    xs[0] = a;
+    xs[7] = b;
+    return %s;
+  }
 }
 |}
-       body)
+       g f h)
+
+(* [f]'s inputs: two ints, a float among the edge values, a boolean. *)
+let gen_inputs =
+  quad (int_range (-100) 100) (int_range (-100) 100)
+    (oneofl [ 0.0; -0.0; 1.5; -7.25; 1e30; infinity; neg_infinity; nan ])
+    bool
 
 (* --- differential harness ---------------------------------------------- *)
 
@@ -135,25 +224,45 @@ let show_outcome = function
   | Value v -> V.to_string v
   | Trap -> "<trap>"
 
-let run_engines src (a, b) : (string * outcome) list =
+(* Values compare under [Wire.Value.equal]: OCaml's [=] has NaN unequal
+   to itself. *)
+let same_one a b =
+  match a, b with
+  | Value x, Value y -> V.equal x y
+  | Trap, Trap -> true
+  | _ -> false
+
+(* an engine's outcomes of [f], [g] and [h] *)
+let same = List.for_all2 same_one
+let show os = String.concat ", " (List.map show_outcome os)
+
+let show_inputs (a, b, p, q) = Printf.sprintf "a=%d b=%d p=%h q=%b" a b p q
+
+let run_engines src (a, b, p, q) : (string * outcome list) list =
   let prog =
     Lime_ir.Lower.lower
       (Lime_types.Typecheck.check (Lime_syntax.Parser.parse ~file:"fuzz" src))
   in
   let opt = Lime_ir.Opt.optimize prog in
-  let args = [ I.Prim (V.Int a); I.Prim (V.Int b) ] in
+  let f_args =
+    [ I.Prim (V.Int a); I.Prim (V.Int b); I.Prim (V.Float p); I.Prim (V.Bool q) ]
+  and g_args = [ I.Prim (V.Float p); I.Prim (V.Int a); I.Prim (V.Bool q) ] in
+  let all run = [ run "Fuzz.f" f_args; run "Fuzz.g" g_args; run "Fuzz.h" f_args ] in
   let interp p =
-    match I.call p "Fuzz.f" args with
-    | I.Prim v -> Value v
-    | _ -> Trap
-    | exception I.Runtime_error _ -> Trap
+    all (fun key args ->
+        match I.call p key args with
+        | I.Prim v -> Value v
+        | _ -> Trap
+        | exception I.Runtime_error _ -> Trap)
   in
   let vm p =
-    match (Bytecode.Vm.run (Bytecode.Vm.prepare (Bytecode.Compile.compile_program p)) "Fuzz.f" args).value with
-    | I.Prim v -> Value v
-    | _ -> Trap
-    | exception I.Runtime_error _ -> Trap
-    | exception Bytecode.Vm.Vm_error _ -> Trap
+    let vm = Bytecode.Vm.prepare (Bytecode.Compile.compile_program p) in
+    all (fun key args ->
+        match (Bytecode.Vm.run vm key args).value with
+        | I.Prim v -> Value v
+        | _ -> Trap
+        | exception I.Runtime_error _ -> Trap
+        | exception Bytecode.Vm.Vm_error _ -> Trap)
   in
   [
     "interp", interp prog;
@@ -165,22 +274,22 @@ let run_engines src (a, b) : (string * outcome) list =
 let prop_engines_agree =
   QCheck2.Test.make ~name:"fuzz: interp = vm = optimized (values and traps)"
     ~count:250
-    ~print:(fun (src, (a, b)) ->
-      Printf.sprintf "a=%d b=%d\n%s\n%s" a b src
+    ~print:(fun (src, inputs) ->
+      Printf.sprintf "%s\n%s\n%s" (show_inputs inputs) src
         (String.concat "\n"
            (List.map
-              (fun (n, o) -> n ^ " = " ^ show_outcome o)
-              (run_engines src (a, b)))))
-    (pair gen_program (pair (int_range (-100) 100) (int_range (-100) 100)))
+              (fun (n, o) -> n ^ " = " ^ show o)
+              (run_engines src inputs))))
+    (pair gen_program gen_inputs)
     (fun (src, inputs) ->
       match run_engines src inputs with
-      | (_, first) :: rest -> List.for_all (fun (_, o) -> o = first) rest
+      | (_, first) :: rest -> List.for_all (fun (_, o) -> same o first) rest
       | [] -> false)
 
 (* Generated programs must also always typecheck and parse. *)
 let prop_generated_programs_compile =
   QCheck2.Test.make ~name:"fuzz: generated programs compile" ~count:250
-    gen_program (fun src ->
+    ~print:(fun s -> s) gen_program (fun src ->
       match
         Lime_ir.Lower.lower
           (Lime_types.Typecheck.check (Lime_syntax.Parser.parse ~file:"fuzz" src))
@@ -192,13 +301,15 @@ let prop_generated_programs_compile =
 let prop_fuzz_pretty_roundtrip =
   QCheck2.Test.make ~name:"fuzz: pretty roundtrip preserves semantics"
     ~count:100
-    (pair gen_program (pair (int_range (-100) 100) (int_range (-100) 100)))
+    (pair gen_program gen_inputs)
     (fun (src, inputs) ->
       let printed =
         Lime_syntax.Pretty.program_to_string
           (Lime_syntax.Parser.parse ~file:"fuzz" src)
       in
-      run_engines src inputs = run_engines printed inputs)
+      List.for_all2
+        (fun (_, x) (_, y) -> same x y)
+        (run_engines src inputs) (run_engines printed inputs))
 
 (* --- fault-schedule fuzzing -------------------------------------------- *)
 

@@ -190,11 +190,21 @@ let gpu_artifact_for chain =
     }
 
 let fpga_artifact_for chain =
+  let uid = Artifact.chain_uid chain in
   Artifact.Fpga_module
     {
-      fa_uid = Artifact.chain_uid chain;
+      fa_uid = uid;
       fa_filters = chain;
       fa_verilog = "// test";
+      fa_pipeline =
+        {
+          Rtl.Netlist.pl_name = uid;
+          pl_stages = [];
+          pl_input_ty = Ir.I32;
+          pl_output_ty = Ir.I32;
+          pl_fifo_depth = 2;
+          pl_pipelined = false;
+        };
     }
 
 let test_substitution_prefers_larger () =
