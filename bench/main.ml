@@ -219,7 +219,7 @@ let fig4_cosim_waveform () =
          (Bits.Bitvec.to_bool_array (Bits.Bitvec.of_literal input)))
   in
   let outputs, stats =
-    Rtl.Sim.run ~vcd ~clock_ns:4 ~eval:(Rtl.Sim.interp prog) pipeline bits
+    Rtl.Sim.run ~vcd ~eval:(Rtl.Sim.interp prog) pipeline bits
   in
   Printf.printf "input: %sb (9 bits, as in the paper)\n" input;
   Printf.printf "output: %sb\n"
@@ -444,7 +444,7 @@ class P {
           bursty_sink;
         ]
       in
-      let stats = Scheduler.run actors in
+      let stats = Scheduler.run (List.map (fun a -> a, 1) actors) in
       (* RTL pipeline with unequal stage latencies *)
       let pl =
         Rtl.Synth.pipeline_of_chain prog ~name:"p" ~fifo_depth:capacity

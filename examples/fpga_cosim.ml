@@ -44,7 +44,7 @@ let () =
          (Bits.Bitvec.to_bool_array (Bits.Bitvec.of_literal input)))
   in
   let outputs, stats =
-    Rtl.Sim.run ~vcd ~clock_ns:4 ~eval:(Rtl.Sim.interp prog) pipeline bits
+    Rtl.Sim.run ~vcd ~eval:(Rtl.Sim.interp prog) pipeline bits
   in
   ignore outputs;
   (try Unix.mkdir "_artifacts" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());

@@ -267,6 +267,37 @@ let scatter_gather ~(workers : int) : graph =
         names;
   }
 
+(* Firings per stage to move [n] tokens through a linear chain in
+   which stage [i] pushes [bursts.(i)] tokens per firing and pops its
+   predecessor's burst: the repetition vector times the steady
+   iterations it takes the first stage to emit [n] tokens. [None] when
+   the chain has no steady state (a non-positive burst). The runtime
+   sizes steady-state step budgets with it ([Runtime.Exec]); the
+   placement planner weights firing costs with it. *)
+let chain_firings ~n (bursts : int list) : int list option =
+  let stage = Array.of_list bursts in
+  let name i = "s" ^ string_of_int i in
+  let edges =
+    List.init
+      (max 0 (Array.length stage - 1))
+      (fun i ->
+        {
+          e_src = name i;
+          e_dst = name (i + 1);
+          e_push = Iv.of_int stage.(i);
+          e_pop = Iv.of_int stage.(i + 1);
+          e_init = 0;
+        })
+  in
+  let actors = List.mapi (fun i _ -> name i) bursts in
+  match solve { g_actors = actors; g_edges = edges } with
+  | Error _ -> None
+  | Ok { s_reps = []; _ } -> Some []
+  | Ok { s_reps = (_, first) :: _ as reps; _ } ->
+    let per_iter = first * max stage.(0) 1 in
+    let iterations = (n + per_iter - 1) / per_iter in
+    Some (List.map (fun (_, r) -> iterations * r) reps)
+
 (* The rate graph of a template: a linear pipeline where the source
    pushes [source_rate] per firing and every filter is elementwise
    (pop 1 / push 1) — device substitution happens later and rebatches

@@ -53,7 +53,6 @@ val engine :
   ?gpu_device:Gpu.Device.t ->
   ?fifo_capacity:int ->
   ?schedule:Runtime.Scheduler.mode ->
-  ?boundary:Wire.Boundary.t ->
   ?model_divergence:bool ->
   ?chunk_elements:int ->
   ?max_retries:int ->

@@ -18,9 +18,9 @@ module Boundary = Wire.Boundary
    fabricates receiver objects from the IR class metadata (default
    fields, then the constructor over synthetic arguments), fresh for
    every benchmark run. Only chains whose element or constructor types
-   have no generator fall back to an *analytic* profile derived from
-   bytecode instruction counts and the device constants; the entry is
-   marked accordingly.
+   have no generator fall back to an *analytic* profile: the engine's
+   own cost model ([Exec.analytic_cost]); the entry is marked
+   accordingly.
 
    All costs are deterministic modeled nanoseconds (never wall time),
    so profiles are stable across machines and runs — which is what
@@ -30,8 +30,8 @@ type ctx = {
   cx_compiled : Liquid_metal.Compiler.compiled;
   cx_store : Profile.store;
   cx_engine : Exec.t;
-      (** scratch engine for microbenchmarks: default device models,
-          private metrics *)
+      (** scratch engine for microbenchmarks and the analytic model:
+          default device models, private metrics *)
   cx_vm : Bytecode.Vm.program;  (** the VM microbenchmark's program *)
   cx_fresh : (string, unit) Hashtbl.t;
       (** keys this context calibrated itself: re-looking one up is
@@ -39,11 +39,6 @@ type ctx = {
   mutable cx_hits : int;
   mutable cx_calibrated : int;
 }
-
-(* The scratch engine is created with the default device models; the
-   analytic fallback must quote the same constants. *)
-let fpga_clock_ns = 4.0
-let gpu_device = Gpu.Device.gtx580
 
 let create ?profile_store (compiled : Liquid_metal.Compiler.compiled) =
   let store =
@@ -64,11 +59,6 @@ let compiled ctx = ctx.cx_compiled
 let hits ctx = ctx.cx_hits
 let calibrated ctx = ctx.cx_calibrated
 
-let fn_key (f : Ir.filter_info) =
-  match f.Ir.target with
-  | Ir.F_static key -> key
-  | Ir.F_instance (cls, m) -> cls ^ "." ^ m
-
 (* Deterministic synthetic elements for a scalar port type; [None]
    when the type has no obvious generator (the chain then gets an
    analytic profile). Values stay small so clamp/offset-style filters
@@ -80,44 +70,6 @@ let synth_value (ty : Ir.ty) i : V.t option =
   | Ir.Bool -> Some (V.Bool (i mod 2 = 0))
   | Ir.Bit -> Some (V.Bit (i mod 2 = 1))
   | Ir.Enum _ | Ir.Arr _ | Ir.Obj _ | Ir.Graph | Ir.Unit -> None
-
-let bytes_per_elem (ty : Ir.ty) =
-  match ty with
-  | Ir.I32 | Ir.F32 -> 4.0
-  | Ir.Bool | Ir.Bit -> 1.0
-  | _ -> 4.0
-
-(* A single-filter chain whose UID names a lowered kernel site is a
-   map/reduce *worker*: its per-element work is one application of the
-   site's function. *)
-let worker_site ctx (chain : Ir.filter_info list) =
-  match chain with
-  | [ f ] ->
-    Ir.String_map.find_opt f.Ir.uid
-      ctx.cx_compiled.Liquid_metal.Compiler.lowered
-  | _ -> None
-
-let chain_insns ctx (chain : Ir.filter_info list) =
-  match worker_site ctx chain with
-  | Some lw ->
-    (* Kernel-site bodies frequently *are* loops (matmul's dot product,
-       nbody's force accumulation); a flat instruction count would
-       underestimate their per-element cost by the trip count and
-       invert the device ordering, so workers use the loop- and
-       call-aware estimate. *)
-    Lime_ir.Lower_mapreduce.weighted_insns
-      ctx.cx_compiled.Liquid_metal.Compiler.ir
-      lw.Lime_ir.Lower_mapreduce.lw_fn
-  | None ->
-    List.fold_left
-      (fun acc f ->
-        match
-          Ir.String_map.find_opt (fn_key f)
-            ctx.cx_compiled.Liquid_metal.Compiler.unit_.Bytecode.Compile.u_funcs
-        with
-        | Some code -> acc + Array.length code.Bytecode.Compile.c_insns
-        | None -> acc + 16)
-      0 chain
 
 (* --- content-hashed keys ---------------------------------------------- *)
 
@@ -137,7 +89,8 @@ let content_of ctx (artifact : Artifact.t option) chain =
     String.concat ";"
       (List.map
          (fun f ->
-           Printf.sprintf "%s=%d" (fn_key f) (chain_insns ctx [ f ]))
+           Printf.sprintf "%s=%d" (Exec.filter_fn_key f)
+             (Exec.chain_insns ctx.cx_engine [ f ]))
          chain)
 
 (* The device-model constants a measurement depends on: boundary
@@ -145,6 +98,7 @@ let content_of ctx (artifact : Artifact.t option) chain =
    any of these and the old profiles go stale automatically. *)
 let params_of ctx (artifact : Artifact.t option) =
   let m = Exec.metrics ctx.cx_engine in
+  let gpu = Exec.gpu_device ctx.cx_engine in
   let sample b = Printf.sprintf "%h/%h" (Boundary.transfer_ns b 0) (Boundary.transfer_ns b 4096) in
   match artifact with
   | None -> Printf.sprintf "vm=%h" Metrics.cpu_ns_per_instruction
@@ -152,12 +106,13 @@ let params_of ctx (artifact : Artifact.t option) =
     Printf.sprintf "native=%h jni=%s" Metrics.native_ns_per_instruction
       (sample (Metrics.native_boundary m))
   | Some (Artifact.Gpu_kernel _) ->
-    Printf.sprintf "gpu=%s lanes=%d launch=%h pcie=%s" gpu_device.Gpu.Device.name
-      (Gpu.Device.total_lanes gpu_device)
-      gpu_device.Gpu.Device.launch_overhead_ns
+    Printf.sprintf "gpu=%s lanes=%d launch=%h pcie=%s" gpu.Gpu.Device.name
+      (Gpu.Device.total_lanes gpu) gpu.Gpu.Device.launch_overhead_ns
       (sample (Metrics.boundary m))
   | Some (Artifact.Fpga_module _) ->
-    Printf.sprintf "clock=%h pcie=%s" fpga_clock_ns (sample (Metrics.boundary m))
+    Printf.sprintf "clock=%h pcie=%s"
+      (float_of_int Rtl.Sim.clock_ns)
+      (sample (Metrics.boundary m))
 
 let key_of ctx artifact chain =
   Profile.key ~device:(device_name artifact)
@@ -279,7 +234,7 @@ let measure_vm ctx chain ~receivers ~input_ty =
           | Some r -> [ r; I.Prim !x ]
           | None -> [ I.Prim !x ]
         in
-        let r = Bytecode.Vm.run ctx.cx_vm (fn_key f) args in
+        let r = Bytecode.Vm.run ctx.cx_vm (Exec.filter_fn_key f) args in
         executed := !executed + r.Bytecode.Vm.executed;
         x := I.prim_exn r.Bytecode.Vm.value)
       chain receivers
@@ -289,53 +244,6 @@ let measure_vm ctx chain ~receivers ~input_ty =
     *. Metrics.cpu_ns_per_instruction
   in
   (per_elem, 0.0)
-
-(* --- the analytic fallback --------------------------------------------- *)
-
-(* Mirrors the engine's static estimate: instruction counts under the
-   per-device ns/insn constants, plus launch overhead and boundary
-   latency as the fixed cost and boundary bandwidth as a per-element
-   cost. Used when a chain cannot be microbenchmarked (stateful
-   receivers, non-scalar ports). *)
-let analytic ctx (artifact : Artifact.t option) chain ~input_ty =
-  let m = Exec.metrics ctx.cx_engine in
-  let insns = float_of_int (chain_insns ctx chain) in
-  let eb = bytes_per_elem input_ty in
-  let latency b = Boundary.transfer_ns b 0 in
-  let per_byte b = (Boundary.transfer_ns b 4096 -. latency b) /. 4096.0 in
-  (* Fused kernels stream their result back (no return-trip latency);
-     the fused FPGA pipeline additionally runs at initiation interval
-     1, paying the chain depth once as fill latency. Mirrors the
-     engine's [estimate_cost]. *)
-  let fused =
-    match artifact with
-    | Some (Artifact.Gpu_kernel g) -> Artifact.is_fused_uid g.Artifact.ga_uid
-    | Some (Artifact.Fpga_module f) -> Artifact.is_fused_uid f.Artifact.fa_uid
-    | _ -> false
-  in
-  match artifact with
-  | None -> (insns *. Metrics.cpu_ns_per_instruction, 0.0)
-  | Some (Artifact.Native_binary _) ->
-    let b = Metrics.native_boundary m in
-    ( (insns *. Metrics.native_ns_per_instruction) +. (2.0 *. per_byte b *. eb),
-      2.0 *. latency b )
-  | Some (Artifact.Gpu_kernel _) ->
-    let b = Metrics.boundary m in
-    let lanes = float_of_int (Gpu.Device.total_lanes gpu_device) in
-    ( Gpu.Device.cycles_to_ns gpu_device (insns /. lanes)
-      +. (2.0 *. per_byte b *. eb),
-      ((if fused then 1.0 else 2.0) *. latency b)
-      +. gpu_device.Gpu.Device.launch_overhead_ns )
-  | Some (Artifact.Fpga_module _) ->
-    let b = Metrics.boundary m in
-    if fused then
-      let fill = Float.max 1.0 (insns /. 4.0) in
-      ( fpga_clock_ns +. (2.0 *. per_byte b *. eb),
-        latency b +. ((fill +. 4.0) *. fpga_clock_ns) )
-    else
-      ( (3.0 *. fpga_clock_ns) +. (2.0 *. per_byte b *. eb),
-        (2.0 *. latency b)
-        +. (3.0 *. float_of_int (List.length chain) *. fpga_clock_ns) )
 
 (* --- the profile entry ------------------------------------------------- *)
 
@@ -361,7 +269,7 @@ let profile ctx (artifact : Artifact.t option) (chain : Ir.filter_info list) :
     let (per_elem, overhead), source =
       Support.Fault.without (fun () ->
           if not measurable then
-            (analytic ctx artifact chain ~input_ty, Profile.Analytic)
+            (Exec.analytic_cost ctx.cx_engine artifact chain, Profile.Analytic)
           else
             match artifact with
             | None ->
@@ -376,7 +284,7 @@ let profile ctx (artifact : Artifact.t option) (chain : Ir.filter_info list) :
         pr_device = device_name artifact;
         pr_per_elem_ns = per_elem;
         pr_overhead_ns = overhead;
-        pr_bytes_per_elem = bytes_per_elem input_ty;
+        pr_bytes_per_elem = Exec.elem_bytes chain;
         pr_source = source;
         pr_label = Artifact.chain_uid chain;
       }

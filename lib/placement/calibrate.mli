@@ -6,10 +6,11 @@
     the real execution path — VM dispatch for bytecode,
     {!Runtime.Exec.calibrate_batch} (full boundary marshaling + device
     model) for artifacts — at two stream sizes, linear-fitted into
-    per-element and per-launch costs. Stateful chains fall back to an
-    *analytic* profile from bytecode instruction counts and the device
-    constants. All costs are deterministic modeled nanoseconds, so the
-    on-disk store is valid across runs and machines. *)
+    per-element and per-launch costs. Chains that cannot be measured
+    get an *analytic* profile from the engine's own model
+    ({!Runtime.Exec.analytic_cost}). All costs are deterministic
+    modeled nanoseconds, so the on-disk store is valid across runs and
+    machines. *)
 
 module Ir = Lime_ir.Ir
 
@@ -45,6 +46,3 @@ val predictor :
     [lib/observe] performs against observed launches. [None] when the
     artifact is absent, quarantined, or not a filter chain. Misses
     calibrate through the store. *)
-
-val fn_key : Ir.filter_info -> string
-(** The function key a filter dispatches to (shared helper). *)

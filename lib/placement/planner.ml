@@ -61,63 +61,39 @@ let cost_fn (ctx : Calibrate.ctx) : Exec.cost_model =
 
 (* --- makespan prediction ----------------------------------------------- *)
 
-(* Mirror of the rate graph [Runtime.Exec] runs: source and sink move
-   one element per firing, bytecode filters are 1/1 actors, a device
-   segment pops and pushes its whole batch per firing. Solving the
-   balance equations gives the repetition vector; the makespan is the
-   bottleneck actor's total work plus one pipeline fill (each other
-   actor's single-firing latency). Unsolvable graphs (cannot happen
-   for these chain shapes, but belt and braces) fall back to the
-   sequential sum. *)
+(* The rate graph [Runtime.Exec] runs: source and sink move one
+   element per firing, bytecode filters are 1/1 actors, a device
+   segment pops and pushes its whole batch per firing
+   ([Analysis.Rates.chain_firings]). The makespan is the bottleneck
+   actor's total work plus one pipeline fill (each other actor's
+   single-firing latency). Unsolvable graphs (cannot happen for these
+   chain shapes, but belt and braces) fall back to the sequential
+   sum. *)
 let makespan_of ~n (stages : (float * int) list) : float =
-  let module R = Analysis.Rates in
-  let stage = Array.of_list stages in
-  let name i = "s" ^ string_of_int i in
-  let sequential () =
-    Array.fold_left
-      (fun acc (firing, burst) ->
-        acc +. (firing *. Float.of_int ((n + burst - 1) / max burst 1)))
-      0.0 stage
-  in
   if n <= 0 then 0.0
   else
-    let edges =
-      List.init
-        (Array.length stage - 1)
-        (fun i ->
-          {
-            R.e_src = name i;
-            e_dst = name (i + 1);
-            e_push = Analysis.Interval.of_int (snd stage.(i));
-            e_pop = Analysis.Interval.of_int (snd stage.(i + 1));
-            e_init = 0;
-          })
-    in
-    let g =
-      {
-        R.g_actors = List.init (Array.length stage) name;
-        g_edges = edges;
-      }
-    in
-    match R.solve g with
-    | Error _ -> sequential ()
-    | Ok sched ->
-      let reps = Array.of_list (List.map snd sched.R.s_reps) in
-      let per_iter = reps.(0) * max (snd stage.(0)) 1 in
-      let iterations = (n + per_iter - 1) / per_iter in
+    match Analysis.Rates.chain_firings ~n (List.map snd stages) with
+    | None ->
+      List.fold_left
+        (fun acc (firing, burst) ->
+          acc +. (firing *. Float.of_int ((n + burst - 1) / max burst 1)))
+        0.0 stages
+    | Some firings ->
+      (* (total work, single firing) per stage; the bottleneck is the
+         first with the largest total *)
       let totals =
-        Array.mapi
-          (fun i (firing, _) -> Float.of_int (iterations * reps.(i)) *. firing)
-          stage
+        List.map2 (fun (firing, _) k -> Float.of_int k *. firing, firing)
+          stages firings
       in
-      let bottleneck = ref 0 in
-      Array.iteri
-        (fun i t -> if t > totals.(!bottleneck) then bottleneck := i)
-        totals;
+      let total, firing =
+        List.fold_left
+          (fun (bt, bf) (t, f) -> if t > bt then (t, f) else (bt, bf))
+          (List.hd totals) (List.tl totals)
+      in
       let fill =
-        Array.fold_left (fun acc (firing, _) -> acc +. firing) 0.0 stage
+        List.fold_left (fun acc (firing, _) -> acc +. firing) 0.0 stages
       in
-      totals.(!bottleneck) +. fill -. fst stage.(!bottleneck)
+      total +. fill -. firing
 
 let seg_costs ctx ~n (segs : Substitute.segment list) : seg_cost list =
   List.concat_map
@@ -202,10 +178,7 @@ let plan_filters ctx ~n store ~kind ~uid (filters : Ir.filter_info list) :
     graph_plan =
   let calibrated ~fuse name =
     candidate_of ctx ~n name
-      (Substitute.plan_adaptive ~fuse
-         ~cost:(fun artifact chain ->
-           Profile.predict (Calibrate.profile ctx artifact chain) ~n)
-         store filters)
+      (Substitute.plan_adaptive ~fuse ~cost:(cost_fn ctx ~n) store filters)
   in
   (* Fusion is a placement decision, not a foregone conclusion: the
      planner prices fuse-then-offload against the best per-stage

@@ -11,6 +11,8 @@ type stats = {
 
 exception Simulation_error of string
 
+let clock_ns = 4
+
 let fail fmt = Format.kasprintf (fun s -> raise (Simulation_error s)) fmt
 
 (* A hardware FIFO, as a fixed ring of [depth] slots. Each slot holds
@@ -90,7 +92,7 @@ let interp prog (st : Netlist.stage) (x : V.t) : V.t =
   | I.Prim v -> v
   | v -> fail "filter %s produced a non-value result %a" st.st_fn I.pp v
 
-let run ?vcd ?(clock_ns = 4) ?(max_cycles = 10_000_000) ~eval
+let run ?vcd ?(max_cycles = 10_000_000) ~eval
     (pl : Netlist.pipeline) (inputs : V.t list) : V.t list * stats =
   (* Fused pipelines are fault-checked by the engine's launch prelude
      under their pre-fusion alias names — checking the fused uid here

@@ -27,6 +27,11 @@ type stats = {
 
 exception Simulation_error of string
 
+val clock_ns : int
+(** The FPGA fabric's clock period in nanoseconds (4, i.e. 250 MHz):
+    the spacing of the waveform's clock edges, and the rate at which
+    the runtime charges simulated cycles as modeled time. *)
+
 val interp : Ir.program -> Netlist.stage -> Wire.Value.t -> Wire.Value.t
 (** [interp prog] is the reference stage evaluator: each element goes
     through [Lime_ir.Interp.call] on the stage's filter function, with
@@ -36,7 +41,6 @@ val interp : Ir.program -> Netlist.stage -> Wire.Value.t -> Wire.Value.t
 
 val run :
   ?vcd:Vcd.t ->
-  ?clock_ns:int ->
   ?max_cycles:int ->
   eval:(Netlist.stage -> Wire.Value.t -> Wire.Value.t) ->
   Netlist.pipeline ->

@@ -28,7 +28,6 @@ type t = {
   simt : Gpu.Simt.program;
       (** the program's device functions, compiled once for the SIMT
           simulator on first launch *)
-  fpga_clock_ns : int;
   fifo_capacity : int;
   schedule : Scheduler.mode;
   metrics_ : Metrics.t;
@@ -41,8 +40,8 @@ type t = {
   mutable last_plan_ : string option;
   mutable cost_model_ : cost_model option;
       (** calibrated per-segment cost predictor (e.g. from
-          [Placement]); when absent, the built-in static
-          [estimate_cost] stands in *)
+          [Placement]); when absent, the analytic model
+          ([analytic_cost]) stands in *)
   replan_factor : float option;
       (** online re-planning: when a device segment's measured modeled
           service time exceeds the prediction by more than this
@@ -68,11 +67,10 @@ type t = {
 }
 
 let create ?(policy = Substitute.Prefer_accelerators) ?(fuse = true)
-    ?(gpu_device = Gpu.Device.gtx580) ?(fpga_clock_ns = 4)
-    ?(fifo_capacity = 16) ?(schedule = Scheduler.Round_robin) ?boundary
-    ?(model_divergence = true) ?chunk_elements ?(max_retries = 2)
-    ?(retry_backoff_ns = 1000.0) ?cost_model ?replan_factor
-    ?map_chunks ?reduce_chunks unit_ store_ =
+    ?(gpu_device = Gpu.Device.gtx580) ?(fifo_capacity = 16)
+    ?(schedule = Scheduler.Round_robin) ?(model_divergence = true)
+    ?chunk_elements ?(max_retries = 2) ?(retry_backoff_ns = 1000.0)
+    ?cost_model ?replan_factor ?map_chunks ?reduce_chunks unit_ store_ =
   (* Validate at the boundary: [Actor.Channel.create] would otherwise
      raise [Invalid_argument] from deep inside graph construction. *)
   if fifo_capacity < 1 then
@@ -85,10 +83,9 @@ let create ?(policy = Substitute.Prefer_accelerators) ?(fuse = true)
     gpu_device;
     vm = Bytecode.Vm.prepare unit_;
     simt = Gpu.Simt.prepare unit_.Bytecode.Compile.u_program;
-    fpga_clock_ns;
     fifo_capacity;
     schedule;
-    metrics_ = Metrics.create ?boundary ();
+    metrics_ = Metrics.create ();
     model_divergence;
     chunk_elements;
     max_retries;
@@ -110,6 +107,7 @@ let fusing t = t.fuse_
 let set_cost_model t f = t.cost_model_ <- Some f
 let observed_costs t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.observed_ []
 let schedule t = t.schedule
+let gpu_device t = t.gpu_device
 let metrics t = t.metrics_
 let store t = t.store_
 let program t = t.unit_.Bytecode.Compile.u_program
@@ -413,7 +411,7 @@ let fpga_batch t (artifact : Artifact.fpga_artifact)
       in
       let outputs, stats = Rtl.Sim.run ~eval pipeline dev_input in
       Metrics.add_fpga_run t.metrics_ ~cycles:stats.Rtl.Sim.cycles
-        ~ns:(float_of_int (stats.Rtl.Sim.cycles * t.fpga_clock_ns));
+        ~ns:(float_of_int (stats.Rtl.Sim.cycles * Rtl.Sim.clock_ns));
       let out_packed = pack_stream (Rtl.Netlist.output_ty pipeline) outputs in
       unpack_stream (ship_to_host ~streaming:fused t out_packed))
 
@@ -455,67 +453,83 @@ let batch_of_artifact t (artifact : Artifact.t) pairs xs =
   | Artifact.Fpga_module f -> fpga_batch t f pairs xs
   | Artifact.Native_binary n -> native_batch t n pairs xs
 
-(* Cost model for adaptive placement (paper section 7, future work:
-   "runtime introspection and adaptation of the task-graph partitioning
-   so that tasks run where they are best suited"). Static code size
-   stands in for per-element dynamic instructions; [n] is the observed
-   stream length. *)
-let estimate_cost t ~n (artifact : Artifact.t option)
-    (chain : Ir.filter_info list) : float =
-  let nf = float_of_int n in
-  let chain_insns =
+(* --- the analytic cost model -------------------------------------------- *)
+
+(* Cost-driven placement (paper section 7, future work: "runtime
+   introspection and adaptation of the task-graph partitioning so that
+   tasks run where they are best suited"). Static code size stands in
+   for per-element dynamic instructions, except for a kernel-site
+   worker: its body frequently *is* a loop (matmul's dot product,
+   nbody's force accumulation), and a flat count would underestimate
+   it by the trip count and invert the device ordering, so it takes
+   the loop- and call-aware estimate. *)
+let chain_insns t (chain : Ir.filter_info list) =
+  let site =
+    match chain with
+    | [ f ] -> Ir.String_map.find_opt f.Ir.uid t.mr_sites
+    | _ -> None
+  in
+  match site with
+  | Some lw -> Lmr.weighted_insns (program t) lw.Lmr.lw_fn
+  | None ->
     List.fold_left
       (fun acc f ->
-        match Ir.String_map.find_opt (filter_fn_key f) t.unit_.Bytecode.Compile.u_funcs with
+        match
+          Ir.String_map.find_opt (filter_fn_key f)
+            t.unit_.Bytecode.Compile.u_funcs
+        with
         | Some code -> acc + Array.length code.Bytecode.Compile.c_insns
         | None -> acc + 16)
       0 chain
-    |> float_of_int
-  in
-  let elem_bytes = 4.0 in
+
+let elem_bytes (chain : Ir.filter_info list) =
+  match chain with
+  | { Ir.input = Ir.Bool | Ir.Bit; _ } :: _ -> 1.0
+  | _ -> 4.0
+
+(* Instruction counts under the per-device ns/insn constants, plus
+   launch overhead and boundary latency as the fixed cost and boundary
+   bandwidth as a per-element cost. A fused kernel streams its result
+   home (no return-trip latency); the fused FPGA pipeline also runs at
+   initiation interval 1, paying the chain depth once as fill
+   latency. *)
+let analytic_cost t (artifact : Artifact.t option)
+    (chain : Ir.filter_info list) : float * float =
+  let insns = float_of_int (chain_insns t chain) in
+  let eb = elem_bytes chain in
+  let latency b = Boundary.transfer_ns b 0 in
+  let per_byte b = (Boundary.transfer_ns b 4096 -. latency b) /. 4096.0 in
+  let clock = float_of_int Rtl.Sim.clock_ns in
   match artifact with
-  | None ->
-    (* interpreted bytecode, no boundary *)
-    nf *. chain_insns *. Metrics.cpu_ns_per_instruction
+  | None -> (insns *. Metrics.cpu_ns_per_instruction, 0.0)
   | Some (Artifact.Native_binary _) ->
     let b = Metrics.native_boundary t.metrics_ in
-    (2.0 *. Boundary.transfer_ns b (int_of_float (nf *. elem_bytes)))
-    +. (nf *. chain_insns *. Metrics.native_ns_per_instruction)
+    ( (insns *. Metrics.native_ns_per_instruction) +. (2.0 *. per_byte b *. eb),
+      2.0 *. latency b )
   | Some (Artifact.Gpu_kernel g) ->
     let b = Metrics.boundary t.metrics_ in
     let lanes = float_of_int (Gpu.Device.total_lanes t.gpu_device) in
-    let bytes = int_of_float (nf *. elem_bytes) in
-    let return_ns =
-      (* a fused kernel streams its result home: bandwidth only *)
-      if Artifact.is_fused_uid g.Artifact.ga_uid then
-        Boundary.streaming_transfer_ns b bytes
-      else Boundary.transfer_ns b bytes
-    in
-    Boundary.transfer_ns b bytes +. return_ns
-    +. t.gpu_device.Gpu.Device.launch_overhead_ns
-    +. Gpu.Device.cycles_to_ns t.gpu_device (nf *. chain_insns /. lanes)
+    ( Gpu.Device.cycles_to_ns t.gpu_device (insns /. lanes)
+      +. (2.0 *. per_byte b *. eb),
+      ((if Artifact.is_fused_uid g.Artifact.ga_uid then 1.0 else 2.0)
+      *. latency b)
+      +. t.gpu_device.Gpu.Device.launch_overhead_ns )
   | Some (Artifact.Fpga_module f) ->
     let b = Metrics.boundary t.metrics_ in
-    let bytes = int_of_float (nf *. elem_bytes) in
     if Artifact.is_fused_uid f.Artifact.fa_uid then
-      (* fully pipelined fused module: one element per cycle after the
-         fill latency, result streamed home at bandwidth cost *)
-      let latency = Float.max 1.0 (chain_insns /. 4.0) in
-      let cycles = nf +. latency +. 4.0 in
-      Boundary.transfer_ns b bytes
-      +. Boundary.streaming_transfer_ns b bytes
-      +. (cycles *. float_of_int t.fpga_clock_ns)
+      let fill = Float.max 1.0 (insns /. 4.0) in
+      ( clock +. (2.0 *. per_byte b *. eb),
+        latency b +. ((fill +. 4.0) *. clock) )
     else
-      (* ~3 cycles per element per unpipelined stage, pipelined overlap *)
-      let cycles = nf *. 3.0 +. (3.0 *. float_of_int (List.length chain)) in
-      (2.0 *. Boundary.transfer_ns b bytes)
-      +. (cycles *. float_of_int t.fpga_clock_ns)
+      ( (3.0 *. clock) +. (2.0 *. per_byte b *. eb),
+        (2.0 *. latency b)
+        +. (3.0 *. float_of_int (List.length chain) *. clock) )
 
 let observed_key (a : Artifact.t) =
   Artifact.uid a ^ "@" ^ Artifact.device_name (Artifact.device a)
 
 (* The cost used for planning: the calibrated model when one is
-   installed (falling back to the static estimate), overridden by any
+   installed (falling back to the analytic model), overridden by any
    observed per-element cost recorded when that artifact underperformed
    — [max] so a demotion can only make an artifact less attractive. *)
 let effective_cost t ~n (artifact : Artifact.t option)
@@ -523,7 +537,9 @@ let effective_cost t ~n (artifact : Artifact.t option)
   let base =
     match t.cost_model_ with
     | Some f -> f ~n artifact chain
-    | None -> estimate_cost t ~n artifact chain
+    | None ->
+      let per_elem, overhead = analytic_cost t artifact chain in
+      overhead +. (per_elem *. float_of_int n)
   in
   match artifact with
   | None -> base
@@ -779,61 +795,27 @@ let run_bound_graph t (bg : bound_graph) : unit =
      repeated solves). Fault-injection runs bypass steady mode (and
      hence the cache) entirely. *)
   let solve_steady_budgets () =
-    begin
-      let module R = Analysis.Rates in
-      let burst_of = function
-        | `Source -> bg.bg_rate
-        | `Filter | `Sink -> 1
-        | `Device -> (
-          match t.chunk_elements with Some k -> max k 1 | None -> n)
+    let burst_of = function
+      | `Source -> bg.bg_rate
+      | `Filter | `Sink -> 1
+      | `Device -> (
+        match t.chunk_elements with Some k -> max k 1 | None -> n)
+    in
+    (* Steps one firing costs in the actor model: sources, filters and
+       sinks move one burst per step; a device segment collects its pop
+       burst one element per step, fires, then emits one element per
+       step. The +4 slack absorbs the drain/close steps at end of
+       stream. *)
+    let budget kind firings =
+      let per_firing =
+        match kind with
+        | `Source | `Filter | `Sink -> 1
+        | `Device -> (2 * burst_of `Device) + 1
       in
-      let stage = Array.of_list kinds in
-      let name i = "s" ^ string_of_int i in
-      let edges =
-        List.init
-          (Array.length stage - 1)
-          (fun i ->
-            {
-              R.e_src = name i;
-              e_dst = name (i + 1);
-              e_push = Analysis.Interval.of_int (burst_of stage.(i));
-              e_pop =
-                Analysis.Interval.of_int
-                  (match stage.(i + 1) with
-                  | `Sink -> 1
-                  | k -> burst_of k);
-              e_init = 0;
-            })
-      in
-      let g =
-        { R.g_actors = List.mapi (fun i _ -> name i) kinds; g_edges = edges }
-      in
-      match R.solve g with
-      | Error _ -> None
-      | Ok sched ->
-        let reps = Array.of_list (List.map snd sched.R.s_reps) in
-        (* Iterations of the steady schedule to move the whole stream:
-           the source pushes reps(source) * rate tokens per iteration. *)
-        let per_iter = reps.(0) * max bg.bg_rate 1 in
-        let iterations = (n + per_iter - 1) / per_iter in
-        let budget i kind =
-          (* Steps one firing costs in the actor model: sources,
-             filters and sinks move one burst per step; a device
-             segment collects its pop burst one element per step,
-             fires, then emits one element per step. The +4 slack
-             absorbs the drain/close steps at end of stream. *)
-          let per_firing =
-            match kind with
-            | `Source | `Filter | `Sink -> 1
-            | `Device -> (
-              match t.chunk_elements with
-              | Some k -> (2 * max k 1) + 1
-              | None -> (2 * n) + 1)
-          in
-          (iterations * reps.(i) * per_firing) + 4
-        in
-        Some (List.mapi budget kinds)
-    end
+      (firings * per_firing) + 4
+    in
+    Option.map (List.map2 budget kinds)
+      (Analysis.Rates.chain_firings ~n (List.map burst_of kinds))
   in
   let steady_budgets =
     if t.schedule <> Scheduler.Steady_state || n = 0 || Support.Fault.enabled ()
@@ -995,13 +977,12 @@ let run_bound_graph t (bg : bound_graph) : unit =
     "task-graph"
     (fun () ->
       let ordered = List.rev !actors in
-      let stats, steady =
-        match steady_budgets with
-        | Some budgets ->
-          ( Scheduler.run_steady ~on_round:sample_channels
-              (List.combine ordered budgets),
-            true )
-        | None -> Scheduler.run ~on_round:sample_channels ordered, false
+      let steady = Option.is_some steady_budgets in
+      let stats =
+        Scheduler.run ~on_round:sample_channels
+          (match steady_budgets with
+          | Some budgets -> List.combine ordered budgets
+          | None -> List.map (fun a -> a, 1) ordered)
       in
       Metrics.add_scheduler_run t.metrics_ ~steady
         ~fallback:(t.schedule = Scheduler.Steady_state && not steady)
@@ -1141,7 +1122,6 @@ let run_mr_actors t ~uid ~(bounds : (int * int) list)
       ~ports:(List.mapi (fun i c -> Printf.sprintf "w%d" i, c) out_chs)
       step
   in
-  let ordered = (scatter :: workers) @ [ gather ] in
   (* Re-substitution changes a fault-injection run's firing pattern
      mid-flight, so those keep round-robin, as in [run_bound_graph]. *)
   let steady =
@@ -1152,18 +1132,17 @@ let run_mr_actors t ~uid ~(bounds : (int * int) list)
     | Ok _ -> true
     | Error _ -> false
   in
-  let stats, ran_steady =
-    if steady then
-      (* all-ones repetition vector: one descriptor per worker per
-         iteration; +1 slack absorbs the close/drain steps *)
-      ( Scheduler.run_steady
-          ((scatter, k + 1)
-          :: (List.map (fun w -> w, 3) workers @ [ gather, k + 1 ])),
-        true )
-    else Scheduler.run ordered, false
+  (* Steady budgets follow the all-ones repetition vector: one
+     descriptor per worker per iteration, +1 slack for the close/drain
+     steps. Round-robin is every budget 1. *)
+  let budget b = if steady then b else 1 in
+  let stats =
+    Scheduler.run
+      ((scatter, budget (k + 1))
+      :: (List.map (fun w -> w, budget 3) workers @ [ gather, budget (k + 1) ]))
   in
-  Metrics.add_scheduler_run t.metrics_ ~steady:ran_steady
-    ~fallback:(t.schedule = Scheduler.Steady_state && not ran_steady)
+  Metrics.add_scheduler_run t.metrics_ ~steady
+    ~fallback:(t.schedule = Scheduler.Steady_state && not steady)
     ~rounds:stats.Scheduler.rounds ~steps:stats.Scheduler.steps
     ~blocked_steps:stats.Scheduler.blocked_steps
 

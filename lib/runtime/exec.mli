@@ -31,16 +31,15 @@ type cost_model = n:int -> Artifact.t option -> Ir.filter_info list -> float
     [f ~n (Some artifact) chain] a device substitution (compute +
     launch overhead + both boundary crossings). The placement planner
     installs a calibrated one ({!Placement.Planner.cost_fn}); without
-    it the engine falls back to its built-in static estimate. *)
+    it the engine prices with {!analytic_cost}, as
+    [overhead + per_elem * n]. *)
 
 val create :
   ?policy:Substitute.policy ->
   ?fuse:bool ->
   ?gpu_device:Gpu.Device.t ->
-  ?fpga_clock_ns:int ->
   ?fifo_capacity:int ->
   ?schedule:Scheduler.mode ->
-  ?boundary:Wire.Boundary.t ->
   ?model_divergence:bool ->
   ?chunk_elements:int ->
   ?max_retries:int ->
@@ -52,12 +51,14 @@ val create :
   Bytecode.Compile.unit_ ->
   Store.t ->
   t
-(** Defaults: [Prefer_accelerators], GTX580-class GPU, 4ns FPGA clock
-    (250 MHz), FIFO capacity 16, round-robin scheduling, divergence
-    modeling on, whole-stream device batching ([chunk_elements] bounds
-    the staging buffer and launches the device every that-many
-    elements), [max_retries] 2 with a 1000ns backoff base (attempt [k]
-    waits [retry_backoff_ns * 2^k] modeled nanoseconds).
+(** Defaults: [Prefer_accelerators], GTX580-class GPU, FIFO capacity
+    16, round-robin scheduling, divergence modeling on, whole-stream
+    device batching ([chunk_elements] bounds the staging buffer and
+    launches the device every that-many elements), [max_retries] 2
+    with a 1000ns backoff base (attempt [k] waits
+    [retry_backoff_ns * 2^k] modeled nanoseconds). The FPGA clock
+    ({!Rtl.Sim.clock_ns}) and the boundary models ({!Metrics.create})
+    are fixed.
 
     [fuse] (default on) plans with cross-filter fused artifacts and
     the store's fusion registry ({!Substitute.plan}); off plans every
@@ -116,6 +117,9 @@ val observed_costs : t -> (string * float) list
 val schedule : t -> Scheduler.mode
 (** The scheduling mode the engine was created with. *)
 
+val gpu_device : t -> Gpu.Device.t
+(** The GPU model the engine simulates and prices launches with. *)
+
 val metrics : t -> Metrics.t
 val store : t -> Store.t
 val program : t -> Ir.program
@@ -123,6 +127,42 @@ val program : t -> Ir.program
 val last_plan : t -> string option
 (** Human-readable description of the substitution plan chosen for the
     most recently executed task graph. *)
+
+(** {2 The analytic cost model}
+
+    The engine's one static device-cost model. The placement
+    calibrator falls back to it for every chain it cannot measure, so
+    an analytic profile and the built-in [Adaptive] estimate are the
+    same numbers. *)
+
+val filter_fn_key : Ir.filter_info -> string
+(** The function a filter dispatches to: its static key, or
+    ["Class.method"] for an instance filter. *)
+
+val chain_insns : t -> Ir.filter_info list -> int
+(** Per-element instructions of a chain: the summed bytecode lengths
+    of its functions (16 for a function without bytecode), or, for a
+    kernel-site worker (a one-filter chain whose UID names a lowered
+    site), {!Lime_ir.Lower_mapreduce.weighted_insns} of the site's
+    function, which weights loop bodies by a trip count. *)
+
+val elem_bytes : Ir.filter_info list -> float
+(** Marshaled bytes per stream element: the wire width of the chain's
+    input port, 1 for [boolean] and [bit], 4 otherwise. *)
+
+val analytic_cost :
+  t -> Artifact.t option -> Ir.filter_info list -> float * float
+(** [(per_elem_ns, overhead_ns)] of one launch of [chain] on
+    [artifact]'s device ([None] = interpreted bytecode): a launch of
+    [n] elements costs [overhead_ns + per_elem_ns * n]. Instructions
+    ({!chain_insns}) run at the device's rate
+    ({!Metrics.cpu_ns_per_instruction},
+    {!Metrics.native_ns_per_instruction}, the engine's GPU model,
+    {!Rtl.Sim.clock_ns}); launch overhead and boundary latency are the
+    fixed cost, both crossings' bandwidth ({!elem_bytes} per element)
+    a per-element one. A fused GPU kernel streams its result home (one
+    latency, not two); a fused FPGA pipeline takes one element per
+    clock after its fill latency. *)
 
 val modeled_ns : t -> float
 (** Total modeled time accumulated so far (interpreter + devices +

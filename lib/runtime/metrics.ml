@@ -81,7 +81,7 @@ let native_boundary_model () =
   Wire.Boundary.create ~label:"jni" ~latency_ns:800.0
     ~bandwidth_bytes_per_ns:24.0 ()
 
-let create ?boundary () =
+let create () =
   {
     vm_instructions = 0;
     native_instructions = 0;
@@ -90,10 +90,7 @@ let create ?boundary () =
     fpga_runs = 0;
     fpga_cycles = 0;
     fpga_ns = 0.0;
-    boundary =
-      (match boundary with
-      | Some b -> b
-      | None -> Wire.Boundary.create ~label:"pcie" ());
+    boundary = Wire.Boundary.create ~label:"pcie" ();
     native_boundary = native_boundary_model ();
     substitutions = [];
     device_faults = 0;

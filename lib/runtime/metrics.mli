@@ -49,7 +49,11 @@ type snapshot = {
 
 type t
 
-val create : ?boundary:Wire.Boundary.t -> unit -> t
+val create : unit -> t
+(** Zeroed counters over the two boundary models: the default
+    PCIe-class {!Wire.Boundary.create} for accelerators and the
+    JNI-only one for native libraries. *)
+
 val add_vm_instructions : t -> int -> unit
 val add_native_instructions : t -> int -> unit
 val add_gpu_kernel : t -> ns:float -> unit

@@ -1,21 +1,21 @@
 (* The cooperative task scheduler.
 
-   Two modes:
+   One loop for both modes. Each round gives every live actor one
+   burst of up to its step budget:
 
-   - [run] steps every live actor in round-robin order — blind
+   - round-robin gives every actor a budget of 1 — blind
      demand-driven discovery, one step per actor per round;
-   - [run_steady] fires actors in a precomputed steady-state order:
-     each actor gets a per-sweep step *budget* derived from the solved
+   - steady-state gives each actor its per-sweep share of the solved
      SDF repetition vector ([Analysis.Rates]), so the scheduler never
      probes an actor that provably has nothing to do — the probes are
      exactly the blocked steps that dominate round-robin on deep or
      batching pipelines.
 
-   In both modes, a round (or sweep) in which no actor progresses and
-   none finished means the graph is wedged (a cycle of full/empty
-   queues), which is reported rather than spinning forever. An actor's
-   final [Done] return is bookkeeping, not work: it is neither counted
-   as a step nor traced. *)
+   A round in which no actor progresses and none finished means the
+   graph is wedged (a cycle of full/empty queues), which is reported
+   rather than spinning forever. An actor's final [Done] return is
+   bookkeeping, not work: it is neither counted as a step nor
+   traced. *)
 
 module Trace = Support.Trace
 
@@ -47,61 +47,8 @@ let deadlock_message (live : Actor.t list) (s : stats) =
           (fun (a : Actor.t) -> a.name ^ Actor.describe_ports a)
           live))
 
-let status_name = function
-  | Actor.Progress -> "progress"
-  | Actor.Blocked -> "blocked"
-  | Actor.Done -> "done"
-
-let run ?(on_round = fun _ -> ()) (actors : Actor.t list) : stats =
-  let live = ref actors in
-  let rounds = ref 0 in
-  let steps = ref 0 in
-  let blocked = ref 0 in
-  let tracing = Trace.enabled () in
-  while !live <> [] do
-    incr rounds;
-    let progressed = ref false in
-    let still_live =
-      List.filter
-        (fun (a : Actor.t) ->
-          let status = a.step () in
-          (* A final [Done] return is not useful work: don't count it
-             as a step, don't trace it. *)
-          if status <> Actor.Done then begin
-            incr steps;
-            if tracing then
-              Trace.instant ~cat:"sched"
-                ~args:
-                  [
-                    "status", Trace.Str (status_name status);
-                    "round", Trace.Int !rounds;
-                  ]
-                a.name
-          end;
-          match status with
-          | Actor.Progress ->
-            progressed := true;
-            true
-          | Actor.Blocked ->
-            incr blocked;
-            true
-          | Actor.Done ->
-            progressed := true;
-            false)
-        !live
-    in
-    live := still_live;
-    on_round !rounds;
-    if (not !progressed) && !live <> [] then begin
-      let s = { rounds = !rounds; steps = !steps; blocked_steps = !blocked } in
-      raise (Deadlock (deadlock_message !live s, s))
-    end
-  done;
-  { rounds = !rounds; steps = !steps; blocked_steps = !blocked }
-
-let run_steady ?(on_round = fun _ -> ())
-    (budgeted : (Actor.t * int) list) : stats =
-  let live = ref (List.map (fun (a, b) -> a, max b 1) budgeted) in
+let run ?(on_round = fun _ -> ()) (budgeted : (Actor.t * int) list) : stats =
+  let live = ref budgeted in
   let rounds = ref 0 in
   let steps = ref 0 in
   let blocked = ref 0 in
@@ -111,12 +58,15 @@ let run_steady ?(on_round = fun _ -> ())
     let progressed = ref false in
     live :=
       List.filter
-        (fun ((a : Actor.t), budget) ->
-          (* One burst: fire up to [budget] times, stopping early on
-             the first block (the burst found the FIFO limit) or on
-             completion. The budget is this actor's share of the
-             steady-state schedule, so a well-sized graph runs the
-             whole sweep without a single blocked probe. *)
+        (fun actor_budget ->
+          (* one parameter, not a tuple pattern: this closure is built
+             every round, and a tupled one is a word larger *)
+          let (a : Actor.t), budget = actor_budget in
+          (* One burst: fire up to [budget] times (at least once),
+             stopping early on the first block (the burst found the
+             FIFO limit) or on completion. A steady-state budget is
+             this actor's share of the schedule, so a well-sized graph
+             runs the whole sweep without a single blocked probe. *)
           let fired = ref 0 in
           let keep = ref true in
           let running = ref true in

@@ -1,23 +1,24 @@
 (** The cooperative task scheduler.
 
-    Two modes. {!run} steps every live actor round-robin until all
-    have finished — blind demand-driven discovery. {!run_steady} fires
-    actors in a precomputed steady-state order with per-sweep step
-    budgets derived from the solved SDF repetition vector
-    ([Analysis.Rates]), eliminating the blocked probes that dominate
-    round-robin on deep or batching pipelines.
+    One loop, {!run}, for both modes: each round gives every live
+    actor a burst of up to its step budget. Round-robin stepping —
+    blind demand-driven discovery — is every budget 1. The
+    steady-state order gives each actor its per-sweep budget derived
+    from the solved SDF repetition vector ([Analysis.Rates]),
+    eliminating the blocked probes that dominate round-robin on deep
+    or batching pipelines.
 
-    In both modes, a full round in which nothing progresses is a
-    wedged graph (a cycle of full/empty queues) and raises {!Deadlock}
-    instead of spinning; the message embeds the final stats and lists
-    every wedged actor with its channel states
-    ([name[in=empty out=full]]) so the wedge is diagnosable from the
-    error alone.
+    A full round in which nothing progresses is a wedged graph (a
+    cycle of full/empty queues) and raises {!Deadlock} instead of
+    spinning; the message embeds the final stats and lists every
+    wedged actor with its channel states ([name[in=empty out=full]])
+    so the wedge is diagnosable from the error alone.
 
-    When tracing is enabled ({!Support.Trace.enabled}), actor steps
-    emit instant events (category ["sched"]). An actor's final [Done]
-    return is bookkeeping, not work: it is neither counted as a step
-    nor traced. *)
+    When tracing is enabled ({!Support.Trace.enabled}), each burst
+    that counted a step emits one instant event (category ["sched"],
+    named after the actor, with the burst's [fired] progress steps
+    and the [round]). An actor's final [Done] return is bookkeeping,
+    not work: it is neither counted as a step nor traced. *)
 
 type stats = {
   rounds : int;  (** scheduling rounds until quiescence *)
@@ -39,14 +40,12 @@ exception Deadlock of string * stats
     message itself embeds the same stats, so the report is
     self-contained even where only the string survives. *)
 
-val run : ?on_round:(int -> unit) -> Actor.t list -> stats
-(** Round-robin: one step per live actor per round. [on_round] is
-    called after each completed round with the round number — the
-    runtime uses it to sample channel occupancy into the trace. *)
-
-val run_steady : ?on_round:(int -> unit) -> (Actor.t * int) list -> stats
-(** Steady-state: each sweep gives every actor a burst of up to its
-    budget steps (budgets below 1 are clamped to 1), ending the burst
-    early on the first blocked step. Actors should be listed in
-    topological (source-to-sink) order so one sweep can drain the
-    whole pipeline. *)
+val run : ?on_round:(int -> unit) -> (Actor.t * int) list -> stats
+(** Each round gives every live actor, in list order, a burst of up to
+    its budget steps (a budget below 1 acts as 1), ending the
+    burst early on the first blocked step. Budgets of 1 are
+    round-robin. Actors should be listed in topological
+    (source-to-sink) order so one sweep can drain the whole pipeline.
+    [on_round] is called after each completed round with the round
+    number — the runtime uses it to sample channel occupancy into the
+    trace. *)

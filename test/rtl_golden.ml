@@ -104,7 +104,7 @@ let figure4 () =
   in
   let vcd = Rtl.Vcd.create () in
   let outputs, stats =
-    Rtl.Sim.run ~vcd ~clock_ns:4 ~eval:(Rtl.Sim.interp prog) pipeline bits
+    Rtl.Sim.run ~vcd ~eval:(Rtl.Sim.interp prog) pipeline bits
   in
   Printf.printf "taskFlip %s out=%s vcd=%s\n" (stats_fields stats)
     (Golden.digest (V.Array (Array.of_list outputs)))

@@ -57,6 +57,38 @@ let test_differential_all_workloads () =
         (Stdlib.compare baseline planned = 0))
     Workloads.all
 
+(* --- built-in vs calibrated Adaptive ----------------------------------- *)
+
+(* The engine's built-in estimate is the analytic model the calibrator
+   falls back to, and a lowered map/reduce worker always calibrates
+   analytically. So on every kernel site, Adaptive must plan the same
+   with and without the calibrated cost model, at every stream
+   length. *)
+let test_builtin_plans_kernel_sites_as_calibrated () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      let c = Compiler.compile w.Workloads.source in
+      List.iter
+        (fun div ->
+          let size = max 1 (w.Workloads.default_size / div) in
+          let plans engine =
+            ignore
+              (Exec.call engine w.Workloads.entry (w.Workloads.args ~size));
+            ( Exec.last_plan engine,
+              List.map
+                (fun (uid, d) -> uid, Artifact.device_name d)
+                (Metrics.snapshot (Exec.metrics engine)).Metrics.substitutions
+            )
+          in
+          Alcotest.(check (pair (option string) (list (pair string string))))
+            (Printf.sprintf "%s@%d" w.Workloads.name size)
+            (plans (planned_engine c))
+            (plans (Compiler.engine ~policy:Substitute.Adaptive c)))
+        [ 16; 4; 1 ])
+    (List.filter
+       (fun (w : Workloads.t) -> w.Workloads.category = Workloads.Gpu_map)
+       Workloads.all)
+
 (* --- property: plans respect quarantine ------------------------------- *)
 
 let devices_of_plan segs =
@@ -281,6 +313,8 @@ let suite =
     [
       Alcotest.test_case "differential: planned = bytecode (all workloads)"
         `Slow test_differential_all_workloads;
+      Alcotest.test_case "built-in Adaptive plans kernel sites as calibrated"
+        `Quick test_builtin_plans_kernel_sites_as_calibrated;
       Alcotest.test_case "property: plan avoids quarantined devices" `Quick
         test_plan_never_uses_quarantined;
       Alcotest.test_case "profile store round-trips hex floats" `Quick

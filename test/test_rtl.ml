@@ -66,7 +66,7 @@ let run_flip_with_vcd () =
       (Array.to_list (Bits.Bitvec.to_bool_array (Bits.Bitvec.of_literal bits9)))
   in
   let outputs, stats =
-    Rtl.Sim.run ~vcd ~clock_ns:4 ~eval:(Rtl.Sim.interp fig1) (flip_pipeline ())
+    Rtl.Sim.run ~vcd ~eval:(Rtl.Sim.interp fig1) (flip_pipeline ())
       inputs
   in
   outputs, stats, Rtl.Vcd.contents vcd

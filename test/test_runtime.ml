@@ -47,7 +47,7 @@ let test_pipeline_of_actors () =
       Actor.sink ~name:"snk" dest b;
     ]
   in
-  let stats = Scheduler.run actors in
+  let stats = Scheduler.run (List.map (fun a -> a, 1) actors) in
   (match dest with
   | V.Int_array [| 2; 4; 6; 8; 10 |] -> ()
   | _ -> Alcotest.failf "bad sink contents %s" (V.to_string dest));
@@ -71,7 +71,7 @@ let test_device_segment_batches () =
       Actor.sink ~name:"snk" dest b;
     ]
   in
-  ignore (Scheduler.run actors);
+  ignore (Scheduler.run (List.map (fun a -> a, 1) actors));
   check_int "single batched launch" 1 !launches;
   match dest with
   | V.Int_array [| 101; 102; 103; 104 |] -> ()
@@ -95,7 +95,7 @@ let test_device_segment_chunked () =
       Actor.sink ~name:"snk" dest b;
     ]
   in
-  ignore (Scheduler.run actors);
+  ignore (Scheduler.run (List.map (fun a -> a, 1) actors));
   Alcotest.(check (list int)) "chunk sizes (4,4, then the 2 leftover)"
     [ 4; 4; 2 ] (List.rev !launches);
   match dest with
@@ -107,7 +107,7 @@ let test_device_segment_chunked () =
 
 let test_scheduler_deadlock_detection () =
   let never_progresses = Actor.make ~name:"stuck" (fun () -> Actor.Blocked) in
-  match Scheduler.run [ never_progresses ] with
+  match Scheduler.run [ never_progresses, 1 ] with
   | exception Scheduler.Deadlock (msg, stats) ->
     Alcotest.(check bool) "names the actor" true
       (Test_types.contains msg "stuck");
@@ -133,7 +133,7 @@ let test_deadlock_reports_channel_states () =
       ~ports:[ "in", empty ]
       (fun () -> Actor.Blocked)
   in
-  match Scheduler.run [ producer; consumer ] with
+  match Scheduler.run [ producer, 1; consumer, 1 ] with
   | exception Scheduler.Deadlock (msg, _) ->
     let has = Test_types.contains msg in
     Alcotest.(check bool) "producer's full port" true (has "producer[out=full]");

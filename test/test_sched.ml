@@ -18,6 +18,7 @@ module Substitute = Runtime.Substitute
 module Metrics = Runtime.Metrics
 module I = Lime_ir.Interp
 module V = Wire.Value
+module Trace = Support.Trace
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -168,14 +169,14 @@ let test_min_edge_capacity () =
    bookkeeping, not work. *)
 let test_done_is_not_a_step () =
   let a = Actor.make ~name:"noop" (fun () -> Actor.Done) in
-  let stats = Scheduler.run [ a ] in
+  let stats = Scheduler.run [ a, 1 ] in
   check_int "steps" 0 stats.Scheduler.steps;
   check_int "blocked" 0 stats.Scheduler.blocked_steps;
   check_int "rounds" 1 stats.Scheduler.rounds
 
 let test_deadlock_message_has_stats () =
   let a = Actor.make ~name:"stuck" (fun () -> Actor.Blocked) in
-  match Scheduler.run [ a ] with
+  match Scheduler.run [ a, 1 ] with
   | exception Scheduler.Deadlock (msg, stats) ->
     check_bool "message embeds rounds" true
       (Test_types.contains msg "round(s)");
@@ -203,7 +204,7 @@ let test_steady_sweep_runs_pipeline () =
   in
   let budget = n + 4 in
   let stats =
-    Scheduler.run_steady (List.map (fun a -> a, budget) actors)
+    Scheduler.run (List.map (fun a -> a, budget) actors)
   in
   check_int "one sweep" 1 stats.Scheduler.rounds;
   check_int "no blocked steps" 0 stats.Scheduler.blocked_steps;
@@ -211,10 +212,57 @@ let test_steady_sweep_runs_pipeline () =
 
 let test_steady_deadlock_detected () =
   let a = Actor.make ~name:"wedged" (fun () -> Actor.Blocked) in
-  match Scheduler.run_steady [ a, 8 ] with
+  match Scheduler.run [ a, 8 ] with
   | exception Scheduler.Deadlock (msg, _) ->
     check_bool "names actor" true (Test_types.contains msg "wedged")
   | _ -> Alcotest.fail "expected Deadlock"
+
+(* The scheduler's trace contract: one [sched] instant per burst that
+   counted a step, carrying the burst's progress steps as [fired]. A
+   round-robin burst is a single step, so its instants count the steps
+   exactly; a steady burst's progress steps plus the blocked probes are
+   the steps. An actor that is [Done] on its first step emits none. *)
+let test_sched_instants_match_steps () =
+  let w = Workloads.find "dsp_chain" in
+  let c = Compiler.compile w.Workloads.source in
+  let traced f =
+    let sink = Trace.ring () in
+    Trace.set_sink sink;
+    Fun.protect ~finally:(fun () -> Trace.set_sink Trace.null) f;
+    List.filter_map
+      (function
+        | Trace.Instant { cat = "sched"; args; _ } -> Some args | _ -> None)
+      (Trace.events sink)
+  in
+  let run schedule =
+    let engine = Compiler.engine ~schedule c in
+    let instants =
+      traced (fun () ->
+          ignore
+            (Exec.call engine w.Workloads.entry
+               (w.Workloads.args ~size:w.Workloads.default_size)))
+    in
+    instants, Metrics.snapshot (Exec.metrics engine)
+  in
+  let rr, m_rr = run Scheduler.Round_robin in
+  check_int "round-robin: one instant per step" m_rr.Metrics.sched_steps
+    (List.length rr);
+  let steady, m_st = run Scheduler.Steady_state in
+  check_int "steady ran" 1 m_st.Metrics.sched_steady;
+  let fired =
+    List.fold_left
+      (fun acc args ->
+        match List.assoc_opt "fired" args with
+        | Some (Trace.Int k) -> acc + k
+        | _ -> Alcotest.fail "steady instant without fired")
+      0 steady
+  in
+  check_int "steady: fired plus blocked probes are the steps"
+    m_st.Metrics.sched_steps
+    (fired + m_st.Metrics.sched_blocked_steps);
+  let noop = Actor.make ~name:"noop" (fun () -> Actor.Done) in
+  check_int "done on the first step: no instant" 0
+    (List.length (traced (fun () -> ignore (Scheduler.run [ noop, 1 ]))))
 
 (* --- engine boundary --------------------------------------------------- *)
 
@@ -327,6 +375,8 @@ let suite =
         test_steady_sweep_runs_pipeline;
       Alcotest.test_case "steady deadlock detected" `Quick
         test_steady_deadlock_detected;
+      Alcotest.test_case "one sched instant per counted step" `Quick
+        test_sched_instants_match_steps;
       Alcotest.test_case "fifo capacity validated" `Quick
         test_fifo_capacity_validated;
       Alcotest.test_case "steady matches round-robin (all workloads)" `Quick
