@@ -240,33 +240,6 @@ let solve (g : graph) : (schedule, unsolvable) result =
     end
   with Stop why -> Error why
 
-(* The rate graph of a lowered map/reduce site
-   ([Lime_ir.Lower_mapreduce]): a scatter source fanning chunk
-   descriptors out to [workers] replicated worker actors, and a gather
-   sink joining them. Every edge moves one descriptor per firing —
-   SDF firing semantics push on *all* out-edges — so the balance
-   equations always have the all-ones repetition vector: every lowered
-   graph is solvable by construction, which the property tests assert
-   for arbitrary K. *)
-let scatter_gather ~(workers : int) : graph =
-  let k = max 1 workers in
-  let one = Iv.of_int 1 in
-  let worker i = Printf.sprintf "worker%d" i in
-  let names = List.init k worker in
-  {
-    g_actors = ("scatter" :: names) @ [ "gather" ];
-    g_edges =
-      List.concat_map
-        (fun w ->
-          [
-            { e_src = "scatter"; e_dst = w; e_push = one; e_pop = one;
-              e_init = 0 };
-            { e_src = w; e_dst = "gather"; e_push = one; e_pop = one;
-              e_init = 0 };
-          ])
-        names;
-  }
-
 (* Firings per stage to move [n] tokens through a linear chain in
    which stage [i] pushes [bursts.(i)] tokens per firing and pops its
    predecessor's burst: the repetition vector times the steady

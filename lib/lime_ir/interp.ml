@@ -467,8 +467,3 @@ let no_proofs : Ir.instr -> bool = fun _ -> false
 
 let call ?(hooks = no_hooks) ?(proven = no_proofs) prog key args =
   call_fn { prog; hooks; proven; graph_counter = 0; pending = [] } key args
-
-let run_graph_inline ?(hooks = no_hooks) prog template ops =
-  run_graph_seq
-    { prog; hooks; proven = no_proofs; graph_counter = 0; pending = [] }
-    template ops

@@ -50,11 +50,6 @@ val call :
     @raise Runtime_error on dynamic errors (bad index, missing
     function, sink overflow, division by zero...). *)
 
-val run_graph_inline :
-  ?hooks:hooks -> Ir.program -> Ir.graph_template -> v list -> unit
-(** The default sequential graph execution: pull every element from
-    the source, apply each filter in order, store into the sink. *)
-
 val pp : Format.formatter -> v -> unit
 
 (** {2 Primitive semantics}

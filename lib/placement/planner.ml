@@ -7,12 +7,13 @@ module Exec = Runtime.Exec
 
    For every task graph in a compiled program it enumerates placement
    candidates — the static policies plus the calibrated argmin that
-   [Substitute.plan_adaptive] computes over the cost profiles — and
-   predicts each candidate's makespan by combining the per-segment
-   profiles with the graph's SDF repetition vector ([Analysis.Rates]):
-   the same rate graph the steady-state scheduler solves, weighted by
-   firing costs. The planner's choice is the calibrated candidate; the
-   report shows where every alternative lands and why. *)
+   the one planner, [Substitute.plan], computes under [Adaptive] over
+   the cost profiles — and predicts each candidate's makespan by
+   combining the per-segment profiles with the graph's SDF repetition
+   vector ([Analysis.Rates]): the same rate graph the steady-state
+   scheduler solves, weighted by firing costs. The planner's choice is
+   the calibrated candidate; the report shows where every alternative
+   lands and why. *)
 
 type seg_cost = {
   sg_desc : string;  (** e.g. ["gpu:F1+F2"] or ["bytecode:F1"] *)
@@ -178,7 +179,8 @@ let plan_filters ctx ~n store ~kind ~uid (filters : Ir.filter_info list) :
     graph_plan =
   let calibrated ~fuse name =
     candidate_of ctx ~n name
-      (Substitute.plan_adaptive ~fuse ~cost:(cost_fn ctx ~n) store filters)
+      (Substitute.plan ~fuse ~cost:(cost_fn ctx ~n) Substitute.Adaptive store
+         filters)
   in
   (* Fusion is a placement decision, not a foregone conclusion: the
      planner prices fuse-then-offload against the best per-stage

@@ -2,9 +2,9 @@
 
     For every task graph in a compiled program, enumerate placement
     candidates — the static substitution policies plus the calibrated
-    argmin [Runtime.Substitute.plan_adaptive] computes over the cost
-    profiles — and predict each candidate's makespan by weighting the
-    graph's SDF repetition vector ([Analysis.Rates]) with the
+    argmin [Runtime.Substitute.plan] computes under [Adaptive] over the
+    cost profiles — and predict each candidate's makespan by weighting
+    the graph's SDF repetition vector ([Analysis.Rates]) with the
     per-segment profiles. The planner's choice is the calibrated
     candidate; the report records every alternative and a
     human-readable rationale. *)

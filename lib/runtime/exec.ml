@@ -548,18 +548,15 @@ let effective_cost t ~n (artifact : Artifact.t option)
     | Some per_elem -> Float.max base (per_elem *. float_of_int n)
     | None -> base)
 
+(* [force_adaptive] is online re-planning under a manual policy: the
+   observed costs must be honored or the re-plan would pick the same
+   device. *)
 let plan_for ?(force_adaptive = false) ?fuse t ~n filters_info =
-  let fuse = Option.value fuse ~default:t.fuse_ in
-  match t.policy_ with
-  | Substitute.Adaptive ->
-    Substitute.plan_adaptive ~fuse ~cost:(effective_cost t ~n) t.store_
-      filters_info
-  | _ when force_adaptive ->
-    (* online re-planning under a manual policy: the observed costs
-       must be honored or the re-plan would pick the same device *)
-    Substitute.plan_adaptive ~fuse ~cost:(effective_cost t ~n) t.store_
-      filters_info
-  | _ -> Substitute.plan ~fuse t.policy_ t.store_ filters_info
+  Substitute.plan
+    ~fuse:(Option.value fuse ~default:t.fuse_)
+    ~cost:(effective_cost t ~n)
+    (if force_adaptive then Substitute.Adaptive else t.policy_)
+    t.store_ filters_info
 
 (* --- the failure protocol ---------------------------------------------- *)
 
@@ -753,12 +750,12 @@ let trace_substitution t ~uid ~filters chosen =
       ]
     uid
 
-let run_bound_graph t (bg : bound_graph) : unit =
-  let filters_info = List.map fst bg.bg_filters in
-  let n = I.array_length bg.bg_source in
-  let plan = plan_for t ~n filters_info in
+(* Record a chosen plan: the engine's last plan, a counted
+   substitution per device segment, and a trace record per segment. A
+   kernel site's worker chain is one filter whose uid is the site's,
+   so graph segments and kernel sites record alike. *)
+let record_plan t plan =
   t.last_plan_ <- Some (Substitute.describe_plan plan);
-  (* Record chosen substitutions. *)
   List.iter
     (function
       | Substitute.S_device (a, fs) ->
@@ -771,7 +768,13 @@ let run_bound_graph t (bg : bound_graph) : unit =
         if Trace.enabled () then
           trace_substitution t ~uid:(Artifact.chain_uid fs)
             ~filters:(List.length fs) None)
-    plan;
+    plan
+
+let run_bound_graph t (bg : bound_graph) : unit =
+  let filters_info = List.map fst bg.bg_filters in
+  let n = I.array_length bg.bg_source in
+  let plan = plan_for t ~n filters_info in
+  record_plan t plan;
   (* The planned chain's rate signature. Steady-state mode solves its
      SDF balance equations ([Analysis.Rates]) and turns the repetition
      vector into per-actor step budgets plus a schedule-sized FIFO
@@ -995,8 +998,9 @@ let run_bound_graph t (bg : bound_graph) : unit =
    a scatter source splits the array into K chunk descriptors, K
    replicated workers apply the site's function to their chunk on
    whatever device the substitution plan chose, and a gather sink
-   reassembles the chunk results (map) or combines the partial folds
-   (reduce). Every policy — including bytecode-only — routes kernel
+   collects the chunk results. One executor ([run_kernel_site]) runs
+   map and reduce sites alike; a kind supplies only what differs
+   ([kernel]). Every policy — including bytecode-only — routes kernel
    sites through the same plan/actor/steady-state/fault machinery as
    graph templates.
 
@@ -1004,8 +1008,8 @@ let run_bound_graph t (bg : bound_graph) : unit =
    the boundary once (device-side chunk slicing is free, like a kernel
    indexing into an already-resident buffer), chunk launches after the
    first are charged kernel time minus the launch overhead (command
-   batching amortizes it), and the assembled result crosses back
-   once. *)
+   batching amortizes it), and the results cross back in one batched
+   crossing per boundary. *)
 
 (* A contiguous view of a device-resident array: the slicing a kernel
    launch does by offsetting into the buffer. *)
@@ -1024,21 +1028,30 @@ let mr_seg_of_plan = function
   | [ Substitute.S_device (a, _) ] -> Mr_device a
   | _ -> Mr_bytecode
 
-(* Ship an already-computed result across a boundary with the failure
-   protocol. The values are host-visible either way (the crossing is
-   marshaling accounting plus a round-trip through the wire codec), so
-   on retry exhaustion the transfer is abandoned: quarantine the device
-   and answer with the unshipped value rather than losing the run. *)
-let mr_ship_home t ?boundary ~uid ~(device : Artifact.device) (v : V.t) : V.t =
+(* Ship an already-computed result home from [device] with the
+   failure protocol. The values are host-visible either way (the
+   crossing is marshaling accounting plus a round-trip through the
+   wire codec), so on retry exhaustion the transfer is abandoned:
+   quarantine the device and answer with the unshipped value rather
+   than losing the run. *)
+let mr_ship_home t ~uid ~(device : Artifact.device) (v : V.t) : V.t =
+  let boundary =
+    match device with
+    | Artifact.Native -> Metrics.native_boundary t.metrics_
+    | _ -> Metrics.boundary t.metrics_
+  in
   with_recovery t ~uid ~device
     ~exhausted:(fun () -> v)
-    (fun () -> ship_to_host ?boundary t v)
+    (fun () -> ship_to_host ~boundary t v)
+
+let mr_steady t =
+  t.schedule = Scheduler.Steady_state && not (Support.Fault.enabled ())
 
 (* The shared scatter -> workers -> gather actor graph. [run_chunk ci
    (off, len)] computes chunk [ci]'s result (carrying the full failure
-   protocol); [collect ci v] lands it. Steady-state mode solves the
-   lowered graph's balance equations — all-ones by construction — and
-   runs the whole thing in one budgeted sweep. *)
+   protocol); [collect ci v] lands it. Every edge moves one descriptor
+   per firing, so the repetition vector is all ones, and steady-state
+   mode runs the whole graph in one budgeted sweep. *)
 let run_mr_actors t ~uid ~(bounds : (int * int) list)
     ~(run_chunk : int -> int * int -> V.t) ~(collect : int -> V.t -> unit) :
     unit =
@@ -1124,14 +1137,7 @@ let run_mr_actors t ~uid ~(bounds : (int * int) list)
   in
   (* Re-substitution changes a fault-injection run's firing pattern
      mid-flight, so those keep round-robin, as in [run_bound_graph]. *)
-  let steady =
-    t.schedule = Scheduler.Steady_state
-    && (not (Support.Fault.enabled ()))
-    &&
-    match Analysis.Rates.solve (Analysis.Rates.scatter_gather ~workers:k) with
-    | Ok _ -> true
-    | Error _ -> false
-  in
+  let steady = mr_steady t in
   (* Steady budgets follow the all-ones repetition vector: one
      descriptor per worker per iteration, +1 slack for the close/drain
      steps. Round-robin is every budget 1. *)
@@ -1146,151 +1152,58 @@ let run_mr_actors t ~uid ~(bounds : (int * int) list)
     ~rounds:stats.Scheduler.rounds ~steps:stats.Scheduler.steps
     ~blocked_steps:stats.Scheduler.blocked_steps
 
-(* The per-chunk failure protocol: retry with rewind and backoff, then
-   quarantine the chunk's device, drop its shipped argument copies and
-   re-plan the worker — remaining chunks (and this one's retry) run on
-   the next-best healthy device, bottoming out at bytecode, which
-   cannot fault. [seg] is shared across chunks so one quarantine
-   redirects the rest of the run. *)
-let mr_chunk_with_recovery t ~uid ~n ~(worker : Ir.filter_info)
-    ~(seg : mr_seg ref) ~(invalidate : Artifact.device -> unit)
-    ~(receivers : I.v list) (compute : unit -> V.t) : V.t =
-  let rewind = rewinder receivers in
-  let rec launch () =
-    match !seg with
-    | Mr_bytecode ->
-      (* bytecode chunks never touch a device or a boundary *)
-      compute ()
-    | Mr_device a ->
-      let device = Artifact.device a in
-      with_recovery t ~uid ~device ~rewind
-        ~exhausted:(fun () ->
-          invalidate device;
-          let plan = plan_for t ~n [ worker ] in
-          (match plan with
-          | [ Substitute.S_device (a', _) ] ->
-            Metrics.add_substitution t.metrics_ uid (Artifact.device a')
-          | _ -> ());
-          seg := mr_seg_of_plan plan;
-          launch ())
-        compute
-  in
-  launch ()
+(* What a kind of kernel site adds to the one executor. A site's
+   operands are its arguments, each with whether it is a mapped array
+   (a reduce has one); a chunk is its [(offset, length)] bounds. *)
+type kernel = {
+  k_vm : charge:(int -> unit) -> (I.v * bool) list -> int * int -> V.t;
+      (** a chunk on the VM: one call per element, or a left fold. The
+          bytecode and native paths differ only in what they [charge]. *)
+  k_simt : (I.v * bool) list -> int * int -> V.t * Gpu.Simt.timing;
+      (** a chunk as one SIMT launch over the device-resident operands *)
+  k_pack : V.t list -> V.t;
+      (** several chunk results, in chunk order, as one crossing *)
+  k_unpack : V.t -> int -> V.t list;
+      (** a crossing of [m] chunk results, as pieces for [k_combine] *)
+  k_combine : V.t list -> I.v;
+      (** the pieces at home, in chunk order, into the site's value *)
+}
 
-let mr_record_plan t ~uid plan =
-  t.last_plan_ <- Some (Substitute.describe_plan plan);
-  List.iter
-    (function
-      | Substitute.S_device (a, fs) ->
-        Metrics.add_substitution t.metrics_ uid (Artifact.device a);
-        if Trace.enabled () then
-          trace_substitution t ~uid ~filters:(List.length fs)
-            (Some (Artifact.device a))
-      | Substitute.S_bytecode fs ->
-        if Trace.enabled () then
-          trace_substitution t ~uid ~filters:(List.length fs) None)
-    plan
-
-let mr_span ~uid ~n ~chunks ~plan ~steady f =
-  Trace.with_span ~cat:"runtime"
-    ~args:
-      [
-        "elements", Trace.Int n;
-        "plan", Trace.Str (Substitute.describe_plan plan);
-        "chunks", Trace.Int chunks;
-        ( "schedule",
-          Trace.Str
-            (Scheduler.mode_name
-               (if steady then Scheduler.Steady_state
-                else Scheduler.Round_robin)) );
-      ]
-    ("mr:" ^ uid) f
-
-let mr_steady t = t.schedule = Scheduler.Steady_state && not (Support.Fault.enabled ())
-
-(* One lowered map run over a non-empty stream. *)
-let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
-    (pairs : (I.v * bool) list) (n : int) : I.v =
+(* One lowered kernel-site run over a non-empty stream of [n] elements
+   in [chunks] chunks: plan the worker, run the actor graph, recover
+   each chunk, and bring the results home. *)
+let run_kernel_site t (lw : Lmr.lowered) ~n ~chunks (kind : kernel)
+    (operands : (I.v * bool) list) : I.v =
   let uid = lw.Lmr.lw_uid in
   let worker = lw.Lmr.lw_worker in
-  let bounds =
-    Lmr.split_bounds ~n
-      ~chunks:(Lmr.chunks_for ?override:t.map_chunks ~n lw.Lmr.lw_kind)
-  in
+  let bounds = Lmr.split_bounds ~n ~chunks in
   let k = List.length bounds in
   let plan = plan_for t ~n [ worker ] in
-  mr_record_plan t ~uid plan;
+  record_plan t plan;
   Metrics.add_mr_run t.metrics_ ~chunks:k;
   let seg = ref (mr_seg_of_plan plan) in
-  let fn = Bytecode.Vm.entry t.vm lw.Lmr.lw_fn in
-  (* Device-resident argument copies, shipped once on first use. GPU
-     launches ship every argument over the accelerator boundary;
-     native ones ship only the mapped arrays over JNI — receivers and
-     scalars stay host side, as in [native_batch]. *)
-  let gpu_args = ref None in
-  let native_args = ref None in
+  (* Device-resident operand copies, shipped on a device's first chunk
+     and dropped when it is quarantined. The GPU gets every argument
+     over the accelerator boundary; native code gets the mapped arrays
+     over JNI, and receivers and scalars stay host side, as in
+     [native_batch]. *)
+  let gpu_ops = ref None and native_ops = ref None in
   let gpu_launched = ref false in
-  let used_gpu = ref false and used_native = ref false in
-  let invalidate = function
-    | Artifact.Gpu ->
-      gpu_args := None;
-      gpu_launched := false
-    | Artifact.Native -> native_args := None
-    | _ -> ()
-  in
-  let gpu_ctx () =
-    match !gpu_args with
-    | Some d -> d
+  let resident cell ship =
+    match !cell with
+    | Some ops -> ops
     | None ->
-      let d = List.map (fun (a, _) -> ship_to_device t (I.prim_exn a)) pairs in
-      gpu_args := Some d;
-      d
-  in
-  let native_ctx () =
-    match !native_args with
-    | Some d -> d
-    | None ->
-      let nb = Metrics.native_boundary t.metrics_ in
-      let d =
-        List.map
-          (fun (a, mapped) ->
-            if mapped then `Arr (ship_to_device ~boundary:nb t (I.prim_exn a))
-            else `Host a)
-          pairs
-      in
-      native_args := Some d;
-      d
-  in
-  let bc_chunk (off, len) =
-    Trace.with_span ~cat:"vm" ("bc:" ^ uid) (fun () ->
-        let out = I.new_array site.Ir.map_elem_ty len in
-        for j = 0 to len - 1 do
-          let elt_args =
-            List.map
-              (fun (a, mapped) ->
-                if mapped then I.Prim (I.array_get (I.prim_exn a) (off + j))
-                else a)
-              pairs
-          in
-          let r = Bytecode.Vm.call fn elt_args in
-          Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
-          I.array_set out j (I.prim_exn r.Bytecode.Vm.value)
-        done;
-        I.freeze out)
+      let ops = List.map ship operands in
+      cell := Some ops;
+      ops
   in
   let gpu_chunk (off, len) =
     with_launch_span t ~elements:len ("gpu:" ^ uid) (fun () ->
-        let dev = gpu_ctx () in
-        let chunk_args =
-          List.map2
-            (fun d (_, mapped) ->
-              if mapped then slice_prim d ~offset:off ~len else d)
-            dev pairs
+        let ops =
+          resident gpu_ops (fun (a, mapped) ->
+              I.Prim (ship_to_device t (I.prim_exn a)), mapped)
         in
-        let result, timing =
-          Gpu.Simt.run_map ~device:t.gpu_device
-            ~model_divergence:t.model_divergence t.simt site chunk_args
-        in
+        let result, timing = kind.k_simt ops (off, len) in
         let overhead = t.gpu_device.Gpu.Device.launch_overhead_ns in
         let ns =
           if !gpu_launched then
@@ -1298,65 +1211,192 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
           else timing.Gpu.Simt.kernel_ns
         in
         gpu_launched := true;
-        used_gpu := true;
         Metrics.add_gpu_kernel t.metrics_ ~ns;
         result)
   in
   let native_chunk (off, len) =
     Support.Fault.check ~device:"native" ~segment:uid;
     with_launch_span t ~elements:len ("native:" ^ uid) (fun () ->
-        let shipped = native_ctx () in
-        let out = I.new_array site.Ir.map_elem_ty len in
-        for j = 0 to len - 1 do
-          let elt_args =
-            List.map
-              (function
-                | `Arr d -> I.Prim (I.array_get d (off + j))
-                | `Host a -> a)
-              shipped
-          in
-          let r = Bytecode.Vm.call fn elt_args in
-          Metrics.add_native_instructions t.metrics_ r.Bytecode.Vm.executed;
-          I.array_set out j (I.prim_exn r.Bytecode.Vm.value)
-        done;
-        used_native := true;
-        I.freeze out)
+        let nb = Metrics.native_boundary t.metrics_ in
+        let ops =
+          resident native_ops (fun (a, mapped) ->
+              if mapped then
+                I.Prim (ship_to_device ~boundary:nb t (I.prim_exn a)), mapped
+              else a, mapped)
+        in
+        kind.k_vm ~charge:(Metrics.add_native_instructions t.metrics_) ops
+          (off, len))
   in
   let receivers =
     List.filter_map
       (fun (a, _) -> match a with I.Obj _ -> Some a | _ -> None)
-      pairs
+      operands
   in
-  let run_chunk _ci bound =
-    mr_chunk_with_recovery t ~uid ~n ~worker ~seg ~invalidate ~receivers
-      (fun () ->
-        match !seg with
-        | Mr_bytecode -> bc_chunk bound
-        | Mr_device (Artifact.Gpu_kernel _) -> gpu_chunk bound
-        | Mr_device (Artifact.Native_binary _) -> native_chunk bound
-        | Mr_device (Artifact.Fpga_module _) ->
-          fail "lowered map %s: no FPGA execution path" uid)
+  (* each chunk's result, and the device that computed it ([Cpu] for
+     bytecode) *)
+  let results = Array.make k V.Unit in
+  let homes = Array.make k Artifact.Cpu in
+  (* The per-chunk failure protocol: retry with rewind and backoff,
+     then quarantine the chunk's device, drop its operand copies and
+     re-plan the worker — remaining chunks (and this one's retry) run
+     on the next-best healthy device, bottoming out at bytecode, which
+     cannot fault. [seg] is shared across chunks so one quarantine
+     redirects the rest of the run. *)
+  let run_chunk ci bound =
+    let rewind = rewinder receivers in
+    let rec launch () =
+      match !seg with
+      | Mr_bytecode ->
+        Trace.with_span ~cat:"vm" ("bc:" ^ uid) (fun () ->
+            kind.k_vm ~charge:(Metrics.add_vm_instructions t.metrics_)
+              operands bound)
+      | Mr_device a ->
+        let device = Artifact.device a in
+        with_recovery t ~uid ~device ~rewind
+          ~exhausted:(fun () ->
+            (match device with
+            | Artifact.Gpu ->
+              gpu_ops := None;
+              gpu_launched := false
+            | Artifact.Native -> native_ops := None
+            | _ -> ());
+            let plan = plan_for t ~n [ worker ] in
+            (match plan with
+            | [ Substitute.S_device (a', _) ] ->
+              Metrics.add_substitution t.metrics_ uid (Artifact.device a')
+            | _ -> ());
+            seg := mr_seg_of_plan plan;
+            launch ())
+          (fun () ->
+            match a with
+            | Artifact.Gpu_kernel _ -> gpu_chunk bound
+            | Artifact.Native_binary _ -> native_chunk bound
+            | Artifact.Fpga_module _ ->
+              fail "kernel site %s: no FPGA execution path" uid)
+    in
+    let v = launch () in
+    homes.(ci) <-
+      (match !seg with
+      | Mr_bytecode -> Artifact.Cpu
+      | Mr_device a -> Artifact.device a);
+    v
   in
-  let staging = I.new_array site.Ir.map_elem_ty n in
-  let bound_arr = Array.of_list bounds in
-  let collect ci cv =
-    let off, len = bound_arr.(ci) in
-    for j = 0 to len - 1 do
-      I.array_set staging (off + j) (I.array_get cv j)
-    done
-  in
-  mr_span ~uid ~n ~chunks:k ~plan ~steady:(mr_steady t) (fun () ->
-      run_mr_actors t ~uid ~bounds ~run_chunk ~collect;
-      let result = I.freeze staging in
-      let result =
-        if !used_gpu then mr_ship_home t ~uid ~device:Artifact.Gpu result
-        else if !used_native then
-          mr_ship_home t
-            ~boundary:(Metrics.native_boundary t.metrics_)
-            ~uid ~device:Artifact.Native result
-        else result
+  let steady = mr_steady t in
+  Trace.with_span ~cat:"runtime"
+    ~args:
+      [
+        "elements", Trace.Int n;
+        "plan", Trace.Str (Substitute.describe_plan plan);
+        "chunks", Trace.Int k;
+        ( "schedule",
+          Trace.Str
+            (Scheduler.mode_name
+               (if steady then Scheduler.Steady_state
+                else Scheduler.Round_robin)) );
+      ]
+    ("mr:" ^ uid)
+    (fun () ->
+      run_mr_actors t ~uid ~bounds ~run_chunk ~collect:(fun ci v ->
+          results.(ci) <- v);
+      (* The trip home: each chunk's result crosses home from the
+         device that computed it, and a bytecode chunk's does not
+         cross. Chunks run in index order and a quarantined device
+         takes no later chunk, so the chunks one device computed are
+         consecutive; each such run crosses in one batched crossing,
+         one per boundary, where per-chunk crossings would charge a
+         latency each. *)
+      let rec home ci pieces =
+        if ci = k then kind.k_combine (List.rev pieces)
+        else
+          let device = homes.(ci) in
+          let rec run_end j =
+            if j < k && homes.(j) = device then run_end (j + 1) else j
+          in
+          let stop = run_end ci in
+          let run = List.init (stop - ci) (fun j -> results.(ci + j)) in
+          let arrived =
+            match device, run with
+            | Artifact.Cpu, _ -> run
+            | _, [ v ] -> [ mr_ship_home t ~uid ~device v ]
+            | _ ->
+              kind.k_unpack
+                (mr_ship_home t ~uid ~device (kind.k_pack run))
+                (stop - ci)
+          in
+          home stop (List.rev_append arrived pieces)
       in
-      I.Prim result)
+      home 0 [])
+
+(* A chunk's fresh output array as a value: flat arrays are already
+   one, so only bit and boxed arrays pay [I.freeze]'s copy. *)
+let frozen (out : V.t) : V.t =
+  match out with
+  | V.Int_array _ | V.Float_array _ | V.Bool_array _ -> out
+  | _ -> I.freeze out
+
+(* A map's chunk results concatenated in chunk order, one blit per
+   chunk for flat arrays. *)
+let concat_chunks (elem : Ir.ty) = function
+  | [ v ] -> v
+  | vs ->
+    let out =
+      I.new_array elem (List.fold_left (fun n v -> n + I.array_length v) 0 vs)
+    in
+    let place off v =
+      let len = I.array_length v in
+      (match out, v with
+      | V.Int_array o, V.Int_array a -> Array.blit a 0 o off len
+      | V.Float_array o, V.Float_array a -> Array.blit a 0 o off len
+      | V.Bool_array o, V.Bool_array a -> Array.blit a 0 o off len
+      | _ ->
+        for j = 0 to len - 1 do
+          I.array_set out (off + j) (I.array_get v j)
+        done);
+      off + len
+    in
+    ignore (List.fold_left place 0 vs);
+    frozen out
+
+(* One lowered map run over a non-empty stream. Chunk results come
+   home as slices of the result: a batched crossing is their
+   concatenation, and stays one piece. *)
+let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
+    (pairs : (I.v * bool) list) (n : int) : I.v =
+  let fn = Bytecode.Vm.entry t.vm lw.Lmr.lw_fn in
+  let elem = site.Ir.map_elem_ty in
+  run_kernel_site t lw ~n
+    ~chunks:(Lmr.chunks_for ?override:t.map_chunks ~n lw.Lmr.lw_kind)
+    {
+      k_vm =
+        (fun ~charge ops (off, len) ->
+          let out = I.new_array elem len in
+          for j = 0 to len - 1 do
+            let args =
+              List.map
+                (fun (a, mapped) ->
+                  if mapped then I.Prim (I.array_get (I.prim_exn a) (off + j))
+                  else a)
+                ops
+            in
+            let r = Bytecode.Vm.call fn args in
+            charge r.Bytecode.Vm.executed;
+            I.array_set out j (I.prim_exn r.Bytecode.Vm.value)
+          done;
+          frozen out);
+      k_simt =
+        (fun ops (offset, len) ->
+          Gpu.Simt.run_map ~device:t.gpu_device
+            ~model_divergence:t.model_divergence t.simt site
+            (List.map
+               (fun (a, mapped) ->
+                 let d = I.prim_exn a in
+                 if mapped then slice_prim d ~offset ~len else d)
+               ops));
+      k_pack = concat_chunks elem;
+      k_unpack = (fun v _ -> [ v ]);
+      k_combine = (fun vs -> I.Prim (concat_chunks elem vs));
+    }
+    pairs
 
 (* The lowered-map hook: validate exactly what [Vm.eval_map] validates
    and answer [None] on any mismatch, so the VM raises its canonical
@@ -1402,179 +1442,71 @@ let combiner_assoc t (fn_key : string) : bool =
 
 (* One lowered reduce run over a non-empty array. Chunks fold
    left-to-right within themselves (the GPU reduce folds values in
-   array order precisely so this stays bit-identical); partials are
-   combined on the host pair-wise as a tree. The default is one chunk
-   unless the algebraic analysis proves the combiner associative and
-   commutative — then regrouping is bit-identical by the reassociation
-   contract (docs/ANALYSIS.md) and the reduce chunks like a map;
+   array order precisely so this stays bit-identical); partials come
+   home packed as one array per crossing and are combined on the host
+   pair-wise as a tree. The default is one chunk unless the algebraic
+   analysis proves the combiner associative and commutative — then
+   regrouping is bit-identical by the reassociation contract
+   (docs/ANALYSIS.md) and the reduce chunks like a map;
    [reduce_chunks] still forces a count either way. *)
 let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
     (host : V.t) (n : int) : I.v =
   let uid = lw.Lmr.lw_uid in
-  let worker = lw.Lmr.lw_worker in
-  let bounds =
-    Lmr.split_bounds ~n
-      ~chunks:
-        (Lmr.chunks_for ?override:t.reduce_chunks
-           ~assoc:(combiner_assoc t lw.Lmr.lw_fn)
-           ~n lw.Lmr.lw_kind)
-  in
-  let k = List.length bounds in
-  let plan = plan_for t ~n [ worker ] in
-  mr_record_plan t ~uid plan;
-  Metrics.add_mr_run t.metrics_ ~chunks:k;
-  let seg = ref (mr_seg_of_plan plan) in
   let fn = Bytecode.Vm.entry t.vm lw.Lmr.lw_fn in
-  let gpu_arg = ref None in
-  let native_arg = ref None in
-  let gpu_launched = ref false in
-  (* which boundary each partial must cross to reach the host combine *)
-  let partial_home = Array.make k `Host in
-  let invalidate = function
-    | Artifact.Gpu ->
-      gpu_arg := None;
-      gpu_launched := false
-    | Artifact.Native -> native_arg := None
-    | _ -> ()
+  let array_of ops = I.prim_exn (fst (List.hd ops)) in
+  (* The same shape a device-side reduction uses. For a
+     proven-associative combiner this is bit-identical to the
+     sequential fold; a forced [reduce_chunks] opted into
+     reassociation already. *)
+  let combine a b =
+    let r =
+      Trace.with_span ~cat:"vm" ("bc:" ^ uid) (fun () ->
+          Bytecode.Vm.call fn [ a; b ])
+    in
+    Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
+    r.Bytecode.Vm.value
   in
-  let gpu_ctx () =
-    match !gpu_arg with
-    | Some d -> d
-    | None ->
-      let d = ship_to_device t host in
-      gpu_arg := Some d;
-      d
+  let rec pair_round = function
+    | a :: b :: rest -> combine a b :: pair_round rest
+    | tail -> tail
   in
-  let native_ctx () =
-    match !native_arg with
-    | Some d -> d
-    | None ->
-      let nb = Metrics.native_boundary t.metrics_ in
-      let d = ship_to_device ~boundary:nb t host in
-      native_arg := Some d;
-      d
+  let rec tree = function
+    | [] -> fail "lowered reduce %s: no partials" uid
+    | [ v ] -> v
+    | vs -> tree (pair_round vs)
   in
-  let vm_fold ~account arr (off, len) =
-    let acc = ref (I.Prim (I.array_get arr off)) in
-    for j = 1 to len - 1 do
-      let r = Bytecode.Vm.call fn [ !acc; I.Prim (I.array_get arr (off + j)) ] in
-      account r.Bytecode.Vm.executed;
-      acc := r.Bytecode.Vm.value
-    done;
-    I.prim_exn !acc
-  in
-  let bc_chunk bound =
-    Trace.with_span ~cat:"vm" ("bc:" ^ uid) (fun () ->
-        vm_fold ~account:(Metrics.add_vm_instructions t.metrics_) host bound)
-  in
-  let gpu_chunk ci (off, len) =
-    with_launch_span t ~elements:len ("gpu:" ^ uid) (fun () ->
-        let dev = slice_prim (gpu_ctx ()) ~offset:off ~len in
-        let result, timing =
+  run_kernel_site t lw ~n
+    ~chunks:
+      (Lmr.chunks_for ?override:t.reduce_chunks
+         ~assoc:(combiner_assoc t lw.Lmr.lw_fn)
+         ~n lw.Lmr.lw_kind)
+    {
+      k_vm =
+        (fun ~charge ops (off, len) ->
+          let arr = array_of ops in
+          let acc = ref (I.Prim (I.array_get arr off)) in
+          for j = 1 to len - 1 do
+            let r =
+              Bytecode.Vm.call fn [ !acc; I.Prim (I.array_get arr (off + j)) ]
+            in
+            charge r.Bytecode.Vm.executed;
+            acc := r.Bytecode.Vm.value
+          done;
+          I.prim_exn !acc);
+      k_simt =
+        (fun ops (offset, len) ->
           Gpu.Simt.run_reduce ~device:t.gpu_device
-            ~model_divergence:t.model_divergence t.simt site dev
-        in
-        let overhead = t.gpu_device.Gpu.Device.launch_overhead_ns in
-        let ns =
-          if !gpu_launched then
-            Float.max 0.0 (timing.Gpu.Simt.kernel_ns -. overhead)
-          else timing.Gpu.Simt.kernel_ns
-        in
-        gpu_launched := true;
-        partial_home.(ci) <- `Gpu;
-        Metrics.add_gpu_kernel t.metrics_ ~ns;
-        result)
-  in
-  let native_chunk ci bound =
-    Support.Fault.check ~device:"native" ~segment:uid;
-    with_launch_span t ~elements:(snd bound) ("native:" ^ uid) (fun () ->
-        let r =
-          vm_fold
-            ~account:(Metrics.add_native_instructions t.metrics_)
-            (native_ctx ()) bound
-        in
-        partial_home.(ci) <- `Native;
-        r)
-  in
-  let run_chunk ci bound =
-    mr_chunk_with_recovery t ~uid ~n ~worker ~seg ~invalidate ~receivers:[]
-      (fun () ->
-        partial_home.(ci) <- `Host;
-        match !seg with
-        | Mr_bytecode -> bc_chunk bound
-        | Mr_device (Artifact.Gpu_kernel _) -> gpu_chunk ci bound
-        | Mr_device (Artifact.Native_binary _) -> native_chunk ci bound
-        | Mr_device (Artifact.Fpga_module _) ->
-          fail "lowered reduce %s: no FPGA execution path" uid)
-  in
-  let partials = Array.make k None in
-  let collect ci v = partials.(ci) <- Some v in
-  mr_span ~uid ~n ~chunks:k ~plan ~steady:(mr_steady t) (fun () ->
-      run_mr_actors t ~uid ~bounds ~run_chunk ~collect;
-      (* Device partials come home batched: one packed readback per
-         boundary rather than one crossing per chunk, the same
-         single-transfer shape as the map path's gathered result — at
-         K > 1 a per-partial crossing would charge K boundary
-         latencies where a whole-array reduce pays one. *)
-      let resolved = Array.make k None in
-      let ship_batch ?boundary ~(device : Artifact.device) sel =
-        let group =
-          List.filter_map
-            (fun ci ->
-              match partials.(ci) with
-              | Some v when partial_home.(ci) = sel -> Some (ci, v)
-              | _ -> None)
-            (List.init k Fun.id)
-        in
-        match group with
-        | [] -> ()
-        | [ (ci, v) ] ->
-          resolved.(ci) <- Some (mr_ship_home t ?boundary ~uid ~device v)
-        | group ->
-          let buf = I.new_array site.Ir.red_elem_ty (List.length group) in
-          List.iteri (fun j (_, v) -> I.array_set buf j v) group;
-          let shipped = mr_ship_home t ?boundary ~uid ~device (I.freeze buf) in
-          List.iteri
-            (fun j (ci, _) -> resolved.(ci) <- Some (I.array_get shipped j))
-            group
-      in
-      Array.iteri
-        (fun ci p ->
-          match p, partial_home.(ci) with
-          | Some v, `Host -> resolved.(ci) <- Some v
-          | _ -> ())
-        partials;
-      ship_batch ~device:Artifact.Gpu `Gpu;
-      ship_batch
-        ~boundary:(Metrics.native_boundary t.metrics_)
-        ~device:Artifact.Native `Native;
-      let part ci =
-        match resolved.(ci) with
-        | Some v -> v
-        | None -> fail "lowered reduce %s: chunk %d produced no partial" uid ci
-      in
-      (* Pair-wise tree combine of the per-chunk partials, the same
-         shape a device-side reduction uses. For a proven-associative
-         combiner this is bit-identical to the sequential fold; a
-         forced [reduce_chunks] opted into reassociation already. *)
-      let combine a b =
-        let r =
-          Trace.with_span ~cat:"vm" ("bc:" ^ uid) (fun () ->
-              Bytecode.Vm.call fn [ a; b ])
-        in
-        Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
-        r.Bytecode.Vm.value
-      in
-      let rec pair_round = function
-        | a :: b :: rest -> combine a b :: pair_round rest
-        | tail -> tail
-      in
-      let rec tree = function
-        | [] -> fail "lowered reduce %s: no partials" uid
-        | [ v ] -> v
-        | vs -> tree (pair_round vs)
-      in
-      tree (List.init k (fun ci -> I.Prim (part ci))))
+            ~model_divergence:t.model_divergence t.simt site
+            (slice_prim (array_of ops) ~offset ~len));
+      k_pack =
+        (fun vs ->
+          let buf = I.new_array site.Ir.red_elem_ty (List.length vs) in
+          List.iteri (I.array_set buf) vs;
+          I.freeze buf);
+      k_unpack = (fun v m -> List.init m (I.array_get v));
+      k_combine = (fun vs -> tree (List.map (fun v -> I.Prim v) vs));
+    }
+    [ I.Prim host, true ]
 
 let run_lowered_reduce t (lw : Lmr.lowered) (site : Ir.reduce_site)
     (arg : I.v) : I.v option =

@@ -183,9 +183,3 @@ val calibrate_batch :
 
     @raise Engine_error for map/reduce (non-chain) artifacts or a
     misaligned receiver list. *)
-
-(** {2 Wire-format helpers} (exposed for the benches and tests) *)
-
-val wire_ty_of_value : Wire.Value.t -> Wire.Codec.ty
-val pack_stream : Ir.ty -> Wire.Value.t list -> Wire.Value.t
-val unpack_stream : Wire.Value.t -> Wire.Value.t list

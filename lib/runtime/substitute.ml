@@ -23,17 +23,6 @@ type policy =
           the lowest estimated end-to-end cost for the observed stream
           length, instead of a fixed device preference *)
 
-let device_order = function
-  | Bytecode_only -> []
-  | Prefer_accelerators ->
-    (* "It also favors GPU and FPGA artifacts to bytecode" (section
-       4.2); native shared libraries beat interpretation but lose to
-       the accelerators. *)
-    [ Artifact.Gpu; Artifact.Fpga; Artifact.Native ]
-  | Prefer_devices ds -> List.filter (fun d -> d <> Artifact.Cpu) ds
-  | Smallest_substitution | Adaptive ->
-    [ Artifact.Gpu; Artifact.Fpga; Artifact.Native ]
-
 (* An execution segment: a maximal run of filters with one chosen
    implementation. *)
 type segment =
@@ -68,144 +57,101 @@ let fuse_bytecode (store : Store.t) (fs : Ir.filter_info list) :
   in
   go 0 []
 
-(* Choose implementations for the filter chain of one task graph.
-   Greedy left-to-right: at each relocatable filter, try the longest
-   chain with an artifact on the most preferred device.
+(* The devices an artifact can substitute on, in candidate order. "It
+   also favors GPU and FPGA artifacts to bytecode" (section 4.2);
+   native shared libraries beat interpretation but lose to the
+   accelerators. *)
+let devices = [ Artifact.Gpu; Artifact.Fpga; Artifact.Native ]
 
-   Tie-breaking is deterministic by construction: longer chains are
-   tried before shorter ones, devices in the policy's preference
-   order, and when two artifacts cover chains of equal length on
-   equally-preferred devices the store resolves the tie by artifact
-   UID ([Store.find] sorts by UID, never by insertion order).
+(* The artifacts that cover [chain], in the order every policy shares:
+   the fused uid before the per-stage one, then GPU, FPGA, native. The
+   store sorts each uid's artifacts ({!Store.find}), so ties never
+   depend on insertion order. *)
+let candidates ~fuse store chain =
+  let uid = Artifact.chain_uid chain in
+  List.concat_map
+    (fun uid ->
+      let found = Store.find store ~uid in
+      List.filter_map
+        (fun d -> List.find_opt (fun a -> Artifact.device a = d) found)
+        devices)
+    (if fuse then [ Artifact.fused_prefix ^ uid; uid ] else [ uid ])
 
-   With [fuse] (the default), each device lookup tries the fused
-   artifact (uid ["fuse:" ^ chain uid]) before the per-stage one, and
-   bytecode runs are rewritten through the store's fusion registry.
-   [~fuse:false] is the unfuse path: recovery re-plans a faulted fused
-   segment per stage, and the planner uses it to price fusion. *)
-let plan ?(fuse = true) (policy : policy) (store : Store.t)
+(* One planner for every policy. [choose i stop] places the maximal
+   relocatable run [i, stop) from [i]: a device segment over a prefix,
+   or the number of filters that stay on bytecode.
+
+   A static policy takes the longest covered prefix on its most
+   preferred allowed device, and leaves one filter on bytecode when no
+   prefix is covered. The search is lazy: it stops at the first
+   covered prefix and lists a prefix's candidates once. [Adaptive]
+   prices each artifact that covers the whole run with [cost] against
+   [cost None run]; [c < best] keeps the incumbent on a tie, so ties go
+   to the earlier candidate, and to bytecode over a device that only
+   equals it. When bytecode wins, the whole run stays there.
+
+   With [fuse] (the default), bytecode runs are rewritten through the
+   store's fusion registry so a fused run executes as one segment even
+   on the VM. [~fuse:false] is the unfuse path: recovery re-plans a
+   faulted fused segment per stage, and the planner uses it to price
+   fusion. *)
+let plan ?(fuse = true) ?cost (policy : policy) (store : Store.t)
     (filters : Ir.filter_info list) : segment list =
-  let devices = device_order policy in
   let filters = Array.of_list filters in
   let n = Array.length filters in
-  let find_chain start =
-    (* Longest relocatable run [start, stop) with an artifact. *)
-    let max_len =
-      let rec run i = if i < n && filters.(i).Ir.relocatable then run (i + 1) else i in
-      run start - start
+  let chain i len = Array.to_list (Array.sub filters i len) in
+  let rec longest preferred i len =
+    if len = 0 then Error 1
+    else
+      let prefix = chain i len in
+      let cands = candidates ~fuse store prefix in
+      match
+        List.find_map
+          (fun d -> List.find_opt (fun a -> Artifact.device a = d) cands)
+          preferred
+      with
+      | Some a -> Ok (a, prefix)
+      | None -> longest preferred i (len - 1)
+  in
+  let cheapest cost i stop =
+    let run = chain i (stop - i) in
+    let best =
+      List.fold_left
+        (fun (best_cost, best) a ->
+          let c = cost (Some a) run in
+          if c < best_cost then c, Some a else best_cost, best)
+        (cost None run, None)
+        (candidates ~fuse store run)
     in
-    let try_len len =
-      if len = 0 then None
-      else
-        let chain = Array.to_list (Array.sub filters start len) in
-        let uid = Artifact.chain_uid chain in
-        let uids =
-          if fuse then [ Artifact.fused_prefix ^ uid; uid ] else [ uid ]
-        in
-        let rec try_devices = function
-          | [] -> None
-          | d :: rest -> (
-            match
-              List.find_map
-                (fun uid -> Store.find_on store ~uid ~device:d)
-                uids
-            with
-            | Some a -> Some (a, chain)
-            | None -> try_devices rest)
-        in
-        try_devices devices
-    in
-    match policy with
-    | Bytecode_only -> None
-    | Smallest_substitution -> try_len (min 1 max_len)
-    | Prefer_accelerators | Prefer_devices _ | Adaptive ->
-      let rec search len =
-        if len = 0 then None
-        else
-          match try_len len with
-          | Some r -> Some r
-          | None -> search (len - 1)
-      in
-      search max_len
+    match snd best with Some a -> Ok (a, run) | None -> Error (stop - i)
+  in
+  let choose =
+    match policy, cost with
+    | Adaptive, None -> invalid_arg "Substitute.plan: Adaptive needs ~cost"
+    | Adaptive, Some cost -> cheapest cost
+    | Bytecode_only, _ -> fun i stop -> Error (stop - i)
+    | Smallest_substitution, _ -> fun i _ -> longest devices i 1
+    | Prefer_accelerators, _ -> fun i stop -> longest devices i (stop - i)
+    | Prefer_devices ds, _ -> fun i stop -> longest ds i (stop - i)
+  in
+  let flush acc_bc acc =
+    if acc_bc = [] then acc
+    else
+      let run = List.rev acc_bc in
+      S_bytecode (if fuse then fuse_bytecode store run else run) :: acc
+  in
+  let rec run_end j =
+    if j < n && filters.(j).Ir.relocatable then run_end (j + 1) else j
   in
   let rec go i acc_bc acc =
-    let flush_bc acc =
-      if acc_bc = [] then acc
-      else
-        let run = List.rev acc_bc in
-        let run = if fuse then fuse_bytecode store run else run in
-        S_bytecode run :: acc
-    in
-    if i >= n then List.rev (flush_bc acc)
-    else
-      match find_chain i with
-      | Some (artifact, chain) ->
-        go (i + List.length chain) []
-          (S_device (artifact, chain) :: flush_bc acc)
-      | None -> go_bc i acc_bc acc
-  and go_bc i acc_bc acc = go_next i (filters.(i) :: acc_bc) acc
-  and go_next i acc_bc acc = go (i + 1) acc_bc acc in
-  go 0 [] []
-
-(* Adaptive planning: for every maximal relocatable run, compare the
-   estimated cost of each whole-run device artifact against staying on
-   bytecode, and keep the cheapest. [cost None fs] estimates the
-   bytecode path; [cost (Some artifact) fs] a device substitution.
-   Exact cost ties are broken deterministically toward the earlier
-   candidate in the fixed GPU, FPGA, native order (and toward bytecode
-   when a device only equals it): [c < best_cost] keeps the
-   incumbent. *)
-let plan_adaptive ?(fuse = true)
-    ~(cost : Artifact.t option -> Ir.filter_info list -> float)
-    (store : Store.t) (filters : Ir.filter_info list) : segment list =
-  let filters = Array.of_list filters in
-  let n = Array.length filters in
-  let rec go i acc_bc acc =
-    let flush_bc acc =
-      if acc_bc = [] then acc
-      else
-        let run = List.rev acc_bc in
-        let run = if fuse then fuse_bytecode store run else run in
-        S_bytecode run :: acc
-    in
-    if i >= n then List.rev (flush_bc acc)
+    if i >= n then List.rev (flush acc_bc acc)
     else if not filters.(i).Ir.relocatable then
       go (i + 1) (filters.(i) :: acc_bc) acc
-    else begin
-      (* the maximal relocatable run starting here *)
-      let stop =
-        let rec run j = if j < n && filters.(j).Ir.relocatable then run (j + 1) else j in
-        run i
-      in
-      let chain = Array.to_list (Array.sub filters i (stop - i)) in
-      let uid = Artifact.chain_uid chain in
-      let uids =
-        if fuse then [ Artifact.fused_prefix ^ uid; uid ] else [ uid ]
-      in
-      let candidates =
-        List.concat_map
-          (fun uid ->
-            List.filter_map
-              (fun d -> Store.find_on store ~uid ~device:d)
-              [ Artifact.Gpu; Artifact.Fpga; Artifact.Native ])
-          uids
-      in
-      let best =
-        List.fold_left
-          (fun (best_cost, best) a ->
-            let c = cost (Some a) chain in
-            if c < best_cost then c, Some a else best_cost, best)
-          (cost None chain, None)
-          candidates
-        |> snd
-      in
-      match best with
-      | Some artifact ->
-        go stop [] (S_device (artifact, chain) :: flush_bc acc)
-      | None ->
-        (* bytecode wins: fall through filter by filter *)
-        go stop (List.rev_append chain acc_bc) acc
-    end
+    else
+      match choose i (run_end i) with
+      | Ok (a, prefix) ->
+        go (i + List.length prefix) [] (S_device (a, prefix) :: flush acc_bc acc)
+      | Error stay -> go (i + stay) (List.rev_append (chain i stay) acc_bc) acc
   in
   go 0 [] []
 

@@ -5,7 +5,8 @@
     also favors GPU and FPGA artifacts to bytecode although that choice
     can be manually directed as well." All of those behaviours are
     policies here, together with the ablation policies and the
-    section-7 adaptive extension. *)
+    section-7 adaptive extension, and one planner ({!plan}) serves
+    them all. *)
 
 module Ir = Lime_ir.Ir
 
@@ -30,36 +31,41 @@ type segment =
 val segment_filters : segment -> Ir.filter_info list
 
 val plan :
-  ?fuse:bool -> policy -> Store.t -> Ir.filter_info list -> segment list
-(** Choose implementations for a task graph's filter chain, greedy
-    left-to-right. Non-relocatable filters always stay on bytecode.
-
-    Deterministic: longer chains beat shorter ones, devices follow the
-    policy's preference order, and equal-length chains on
-    equally-preferred devices tie-break by artifact UID (via
-    {!Store.find}'s sorted order), never by store insertion order.
-
-    With [fuse] (the default) every device lookup tries the fused
-    artifact (uid ["fuse:" ^ chain uid]) before the per-stage one, and
-    bytecode runs are rewritten through the store's fusion registry so
-    a fused run executes as one segment even on the VM. [~fuse:false]
-    is the unfuse path: fault recovery re-plans a faulted fused
-    segment per stage with it. *)
-
-val fuse_bytecode : Store.t -> Ir.filter_info list -> Ir.filter_info list
-(** Replace every registered fusible run inside a bytecode run with
-    its synthetic fused filter (exposed for tests). *)
-
-val plan_adaptive :
   ?fuse:bool ->
-  cost:(Artifact.t option -> Ir.filter_info list -> float) ->
+  ?cost:(Artifact.t option -> Ir.filter_info list -> float) ->
+  policy ->
   Store.t ->
   Ir.filter_info list ->
   segment list
-(** Adaptive planning: per maximal relocatable run, compare the
-    estimated cost of each whole-run device artifact — fused
-    candidates first when [fuse] — against bytecode ([cost None]) and
-    keep the cheapest. *)
+(** The one planner, for every policy: choose implementations for a
+    task graph's filter chain, walking each maximal run of relocatable
+    filters once. Non-relocatable filters always stay on bytecode.
+
+    Every policy chooses among the same candidates: the artifacts that
+    cover a prefix of the run, the fused uid (["fuse:" ^ chain uid],
+    with [fuse]) before the per-stage one, on GPU, FPGA, then native;
+    equal candidates tie-break by artifact UID (via {!Store.find}'s
+    sorted order), never by store insertion order.
+
+    - The static policies take the longest covered prefix on their
+      most preferred allowed device ([Prefer_accelerators] allows GPU,
+      FPGA, native in that order; [Prefer_devices ds] allows [ds] in
+      its order), and leave one filter on bytecode when no prefix is
+      covered. [Smallest_substitution] considers one-filter prefixes
+      only; [Bytecode_only] allows no device.
+    - [Adaptive] prices each artifact that covers the whole run with
+      [cost (Some artifact) run] against [cost None run] (bytecode)
+      and keeps the strictly cheapest: ties keep the earlier
+      candidate, and bytecode beats a device that only equals it. If
+      bytecode wins, the whole run stays on bytecode. [cost] is used
+      by [Adaptive] only.
+
+    With [fuse] (the default) bytecode runs are rewritten through the
+    store's fusion registry so a fused run executes as one segment
+    even on the VM. [~fuse:false] is the unfuse path: fault recovery
+    re-plans a faulted fused segment per stage with it.
+
+    @raise Invalid_argument for [Adaptive] without [cost]. *)
 
 val describe_plan : segment list -> string
 (** e.g. ["bytecode(1) | gpu(2)"]; fused segments read

@@ -85,15 +85,6 @@ let devices =
     ("vm", None);
   ]
 
-(* One boundary crossing's latency: what a coalesced launch saves per
-   extra job (both directions) and what residency saves per staged
-   artifact. Matches the runtime's boundary models (PCIe-class for
-   accelerators, JNI for native, nothing for the interpreter). *)
-let boundary_latency = function
-  | "gpu" | "fpga" -> 10_000.0
-  | "native" -> 800.0
-  | _ -> 0.0
-
 (* ---------- per-workload compilation cache ---------- *)
 
 type dev_plan = {
@@ -139,6 +130,20 @@ type dstate = {
   ds_art : Artifact.device option;
   ds_slots : slot array;
 }
+
+(* One boundary crossing's latency on device [d]: what a coalesced
+   launch saves per extra job (both directions) and what residency
+   saves per staged artifact. Read from the workload engine's boundary
+   models: PCIe-class for the accelerators, JNI for native, nothing
+   for the interpreter. *)
+let boundary_latency engine d =
+  let m = Exec.metrics engine in
+  match d.ds_art with
+  | Some (Artifact.Gpu | Artifact.Fpga) ->
+    Wire.Boundary.transfer_ns (Metrics.boundary m) 0
+  | Some Artifact.Native ->
+    Wire.Boundary.transfer_ns (Metrics.native_boundary m) 0
+  | Some Artifact.Cpu | None -> 0.0
 
 type tstate = {
   ts_tenant : Job.tenant;
@@ -295,7 +300,7 @@ let run ?(config = default_config) load =
       List.fold_left
         (fun acc (dev, uid) ->
           if Some dev = d.ds_art && Store.is_resident store ~device:dev ~uid
-          then acc +. (2.0 *. boundary_latency d.ds_name)
+          then acc +. (2.0 *. boundary_latency w.w_engine d)
           else acc)
         0.0 dplan.dp_artifacts
     in
@@ -384,7 +389,7 @@ let run ?(config = default_config) load =
     | Some tw ->
         (* One occupancy window, one pair of boundary crossings: the
            coalesced job rides the window's launch. *)
-        let saving = 2.0 *. boundary_latency d.ds_name in
+        let saving = 2.0 *. boundary_latency w.w_engine d in
         tw.w_end <- tw.w_end +. Float.max 0.0 (service -. saving);
         tw.w_jobs <- pj :: tw.w_jobs;
         slot.sl_free <- tw.w_end

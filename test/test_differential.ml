@@ -197,6 +197,14 @@ let test_zero_retries_resubstitutes () =
 
 (* --- lowered map/reduce chunk faults ------------------------------------ *)
 
+(* The return crossings of a run, as (crossings, bytes) home over each
+   boundary. *)
+let check_trip_home ~ctx (m : Metrics.snapshot) ~pcie ~jni =
+  let home (s : Wire.Boundary.stats) = s.crossings_to_host, s.bytes_to_host in
+  Alcotest.(check (pair int int)) (ctx ^ ": home over pcie") pcie (home m.marshal);
+  Alcotest.(check (pair int int))
+    (ctx ^ ": home over jni") jni (home m.marshal_native)
+
 (* Killing one worker chunk mid-flight — the third of four GPU chunk
    launches of the lowered scatter/worker/gather graph — with no retry
    budget must quarantine the device, re-substitute the remaining
@@ -226,7 +234,47 @@ let test_chunk_fault_resubstitutes () =
   Alcotest.(check int) "four chunks" 4 m.mr_chunks;
   Alcotest.(check bool) "gpu quarantined" true
     (Store.is_quarantined c.Compiler.store ~device:Runtime.Artifact.Gpu);
+  (* only chunks 0-1 ran on the GPU; 2-3 fell to bytecode *)
+  check_trip_home ~ctx:"saxpy chunk kill" m ~pcie:(1, 1028) ~jni:(0, 0);
   Store.clear_quarantine c.Compiler.store
+
+(* A kernel site whose later chunks moved to another device after a
+   quarantine brings each chunk's result home from the device that
+   computed it, in one batched crossing per boundary. *)
+let test_mixed_device_trip_home () =
+  let run ?map_chunks ?reduce_chunks (w : Workloads.t) ~size spec =
+    let c = compiled_of w in
+    Store.clear_quarantine c.Compiler.store;
+    let engine =
+      Compiler.engine ~policy:Substitute.Prefer_accelerators ~max_retries:0
+        ?map_chunks ?reduce_chunks c
+    in
+    Fault.install (parse_exn spec);
+    let result =
+      Fun.protect
+        ~finally:(fun () ->
+          Fault.clear ();
+          Store.clear_quarantine c.Compiler.store)
+        (fun () -> Exec.call engine w.entry (w.args ~size))
+    in
+    let ctx = Printf.sprintf "%s@%d under %s" w.name size spec in
+    check_identical ~ctx (reference w ~size) result;
+    ctx, Metrics.snapshot (Exec.metrics engine)
+  in
+  (* saxpy's 4 map chunks: 0-1 on the GPU, 2-3 native *)
+  let ctx, m =
+    run ~map_chunks:4 (Workloads.find "saxpy") ~size:512 "gpu:*:at=2"
+  in
+  Alcotest.(check int) (ctx ^ ": chunks 2-3 native") 1 m.resubstitutions;
+  check_trip_home ~ctx m ~pcie:(1, 1028) ~jni:(1, 1028);
+  (* sumsq's map stays on the GPU and crosses home whole; its reduce's
+     partial 0 comes home over PCIe alone, and partials 1-3, computed
+     natively, in one crossing over JNI *)
+  let ctx, m =
+    run ~reduce_chunks:4 (Workloads.find "sumsq") ~size:4096
+      "gpu:SumSq.add*:at=1"
+  in
+  check_trip_home ~ctx m ~pcie:(2, 16392) ~jni:(1, 16)
 
 (* A transient chunk fault is absorbed by a per-chunk retry: no
    re-substitution, the device stays in service and finishes every
@@ -459,6 +507,8 @@ let suite =
           `Quick test_chunk_fault_resubstitutes;
         Alcotest.test_case "lowered chunk fault absorbed by retry" `Quick
           test_chunk_fault_retried;
+        Alcotest.test_case "mixed-device kernel site: results come home per device"
+          `Quick test_mixed_device_trip_home;
         Alcotest.test_case "retried crossings reach the report" `Quick
           test_retried_crossings_reported;
         Alcotest.test_case "pre-fusion fault specs alias onto fused segments"

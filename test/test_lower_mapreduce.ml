@@ -18,7 +18,6 @@ module Store = Runtime.Store
 module Substitute = Runtime.Substitute
 module Metrics = Runtime.Metrics
 module Lmr = Lime_ir.Lower_mapreduce
-module Rates = Analysis.Rates
 module Ir = Lime_ir.Ir
 module I = Lime_ir.Interp
 
@@ -347,20 +346,6 @@ let qcheck_random_reduces =
          | Value v, _ -> Lm.as_int v = expected
          | Trap _, _ -> false))
 
-(* Every lowered graph hands the steady-state scheduler a solvable
-   rate graph: scatter/K-workers/gather balances with the all-ones
-   repetition vector for any K. *)
-let qcheck_rates_solvable =
-  let open QCheck2 in
-  QCheck_alcotest.to_alcotest
-    (Test.make ~count:60 ~name:"scatter/gather rate graph solvable for any K"
-       (Gen.int_range 1 64) (fun k ->
-         match Rates.solve (Rates.scatter_gather ~workers:k) with
-         | Error _ -> false
-         | Ok sched ->
-           List.length sched.Rates.s_reps = k + 2
-           && List.for_all (fun (_, r) -> r = 1) sched.Rates.s_reps))
-
 (* --- lowering shape ----------------------------------------------------- *)
 
 (* The lowering itself: every kernel site yields a worker whose UID is
@@ -445,5 +430,4 @@ let suite =
           test_chunks_for_assoc;
         qcheck_random_bodies;
         qcheck_random_reduces;
-        qcheck_rates_solvable;
       ] )
