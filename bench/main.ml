@@ -492,7 +492,7 @@ let a3_divergence () =
       | _ -> failwith "no map site"
     in
     ignore entry;
-    let sp = Gpu.Simt.prepare prog in
+    let sp = Gpu.Simt.prepare (Bytecode.Compile.compile_program prog) in
     List.iter
       (fun model ->
         let _, timing = Gpu.Simt.run_map ~model_divergence:model sp site args in

@@ -6,8 +6,10 @@ module V = Wire.Value
 type v = I.v
 
 exception Vm_error of string
+exception Device_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Vm_error s)) fmt
+let device_fail fmt = Format.kasprintf (fun s -> raise (Device_error s)) fmt
 
 type hooks = {
   on_map : Insn.map_desc -> v list -> v option;
@@ -19,6 +21,15 @@ let no_hooks =
   { on_map = (fun _ _ -> None); on_reduce = (fun _ _ -> None); on_run_graph = None }
 
 type result = { value : v; executed : int }
+
+type weights = {
+  cycles : Insn.t -> int;
+  bytes : Insn.t -> int;
+  entry : int;
+  intrinsic : string -> int;
+}
+
+type lane = { mutable mem_bytes : int; mutable branch_sig : int }
 
 (* A static type. [None] is the unknown type: its values stay boxed. *)
 type ty = Ir.ty option
@@ -70,10 +81,16 @@ type fn = {
 
 and callee =
   | Fn of fn
-  | Intrinsic of (V.t list -> V.t)
+  | Intrinsic of (V.t list -> V.t) * int  (** the operation, and its charge *)
   | Missing of string
 
-and program = { unit_ : Compile.unit_; fns : (string, callee) Hashtbl.t }
+(* A device program charges its weights instead of instruction counts
+   and keeps its lane's other counters. *)
+and program = {
+  unit_ : Compile.unit_;
+  fns : (string, callee) Hashtbl.t;
+  device : (weights * lane) option;
+}
 
 (* One run: its hooks, its instruction count and its task graphs in
    flight. Compiled code takes it as an argument rather than closing
@@ -89,7 +106,12 @@ and state = {
 
 type code = state -> frame -> v
 
-let prepare unit_ = { unit_; fns = Hashtbl.create 16 }
+let prepare unit_ = { unit_; fns = Hashtbl.create 16; device = None }
+
+let prepare_device weights lane unit_ =
+  { unit_; fns = Hashtbl.create 16; device = Some (weights, lane) }
+
+let on_device st = st.prog.device <> None
 
 let prim = I.prim_exn
 let unit_v = I.Prim V.Unit
@@ -595,6 +617,23 @@ let layout u (c : Compile.code) =
     size;
   }
 
+(* --- device programs -------------------------------------------------------- *)
+
+(* A device runs no allocation, object, nested kernel or task graph:
+   those trap where they execute. *)
+let runs_on_device (i : Insn.t) =
+  match i with
+  | Insn.NEWARR _ | Insn.FREEZE | Insn.NEW _ | Insn.GETFIELD _ | Insn.PUTFIELD _
+  | Insn.MAP _ | Insn.REDUCE _ | Insn.MKGRAPH _ | Insn.RUNGRAPH _ ->
+    false
+  | _ -> true
+
+let device_trap (i : Insn.t) : code =
+  match i with
+  | Insn.PUTFIELD _ -> fun _ _ -> device_fail "field write on the device"
+  | Insn.RUNGRAPH _ -> fun _ _ -> device_fail "nested graph on the device"
+  | _ -> fun _ _ -> device_fail "construct not supported on the device (should be excluded)"
+
 (* --- frames ---------------------------------------------------------------- *)
 
 (* Each function keeps one spare frame. An activation takes it, or a
@@ -653,7 +692,8 @@ let rec resolve p key : callee =
   | None ->
     let c =
       if Lime_ir.Intrinsics.is_intrinsic key then
-        Intrinsic (Lime_ir.Intrinsics.resolve key)
+        let charge = match p.device with None -> 1 | Some (w, _) -> w.intrinsic key in
+        Intrinsic (Lime_ir.Intrinsics.resolve key, charge)
       else
         match Ir.String_map.find_opt key p.unit_.Compile.u_funcs with
         | None -> Missing key
@@ -682,20 +722,25 @@ let rec resolve p key : callee =
 
 (* Call [c] on a list of arguments, with the arity check a call has
    always made: a run, an inline map or reduce, a graph filter, and a
-   call instruction to anything but a function of its arity. *)
+   call instruction to anything but a function of its arity. A device
+   program traps with the device's text. *)
 and invoke st (c : callee) (args : v list) : v =
   match c with
-  | Intrinsic apply -> (
-    (* one dispatch charge for the intrinsic call *)
-    st.executed <- st.executed + 1;
+  | Intrinsic (apply, charge) -> (
+    (* one dispatch charge for the intrinsic call, or its device cycles *)
+    st.executed <- st.executed + charge;
     match apply (List.map prim args) with
     | v -> I.Prim v
-    | exception Lime_ir.Intrinsics.Error m -> fail "%s" m)
-  | Missing key -> fail "no function named %s" key
+    | exception Lime_ir.Intrinsics.Error m ->
+      if on_device st then device_fail "%s" m else fail "%s" m)
+  | Missing key ->
+    if on_device st then device_fail "no device function %s" key
+    else fail "no function named %s" key
   | Fn f ->
-    let n = List.length args in
-    if n <> f.code.c_params then
-      fail "%s expects %d argument(s), got %d" f.code.c_key f.code.c_params n;
+    let n = List.length args and k = f.code.c_key and params = f.code.c_params in
+    if n <> params then
+      if on_device st then device_fail "%s takes %d argument(s), got %d" k params n
+      else fail "%s expects %d argument(s), got %d" k params n;
     let fr = take f in
     bind_params f fr 0 args;
     let v = f.body st fr in
@@ -815,11 +860,23 @@ and run_graph_seq st (template : Ir.graph_template) (ops : v list) : unit =
    leaves [run] only on a normal return, so this is exactly the
    per-instruction count. Callees, classes and templates resolve here,
    once; what fails to resolve traps when executed, with the text and
-   at the point the instruction always trapped. *)
+   at the point the instruction always trapped.
+
+   A device program charges each instruction its weight instead of 1,
+   so a block's sum is the sum of its operations' weights. It also
+   charges a function's entry, adds a block's memory bytes to the lane
+   when the block starts, folds every conditional branch into the
+   lane's branch signature, and traps with [Device_error] on what the
+   device cannot run. *)
 and specialise p (f : fn) : code =
   let c = f.code and l = f.layout in
   let insns = c.Compile.c_insns in
   let n = Array.length insns in
+  let cost, traffic =
+    match p.device with
+    | None -> (fun _ -> 1), fun _ -> 0
+    | Some (w, _) -> w.cycles, w.bytes
+  in
   let leader = Array.make (n + 1) false in
   leader.(0) <- true;
   Array.iteri
@@ -833,7 +890,9 @@ and specialise p (f : fn) : code =
         | _ -> ())
     insns;
   let fell_off : code =
-   fun _ _ -> fail "%s fell off the end without returning a value" c.c_key
+    match p.device with
+    | None -> fun _ _ -> fail "%s fell off the end without returning a value" c.c_key
+    | Some _ -> fun _ _ -> device_fail "%s fell off the end on the device" c.c_key
   in
   (* a jump reads its target when taken, so blocks may refer to each
      other in any order; a jump to the end falls off it *)
@@ -843,7 +902,11 @@ and specialise p (f : fn) : code =
   let pushed pc = match l.stacks.(pc + 1) with Some (t :: _) -> t | _ -> None in
   let local s = { ty = l.local_ty.(s); loc = Slot l.local_at.(s) } in
   let block start : code =
-    let nins = ref 0 in
+    let nins = ref 0 and bytes = ref 0 in
+    let count pc =
+      nins := !nins + cost insns.(pc);
+      bytes := !bytes + traffic insns.(pc)
+    in
     (* the symbolic stack, top first, and the emitted code in reverse;
        each emitter takes the code that follows it *)
     let stack =
@@ -904,7 +967,7 @@ and specialise p (f : fn) : code =
       in
       match next with
       | Some (Insn.STORE s) when cls_of l.local_ty.(s) = cls_of t ->
-        incr nins;
+        count (pc + 1);
         spill (reads s);
         t, l.local_at.(s), pc + 2
       | _ ->
@@ -935,8 +998,10 @@ and specialise p (f : fn) : code =
         jump pc
       end
       else if List.length !stack < fst (stack_effect insns.(pc)) then underflow pc
+      else if p.device <> None && not (runs_on_device insns.(pc)) then
+        device_trap insns.(pc)
       else begin
-        incr nins;
+        count pc;
         match insns.(pc) with
         | Insn.CONST k ->
           let loc =
@@ -1065,12 +1130,24 @@ and specialise p (f : fn) : code =
           let cond = pop () in
           settle ();
           let yes = pc + 1 and no = min t n and k = !nins in
-          match cond with
-          | { ty = Some Ir.Bool; loc = Slot i } ->
+          match p.device, cond with
+          | Some (_, lane), _ ->
+            let cond = read_int Ir.Bool cond in
+            fun st fr ->
+              st.executed <- st.executed + k;
+              if cond fr <> 0 then begin
+                lane.branch_sig <- (lane.branch_sig * 31) + 1;
+                blocks.(yes) st fr
+              end
+              else begin
+                lane.branch_sig <- (lane.branch_sig * 31) + 2;
+                blocks.(no) st fr
+              end
+          | None, { ty = Some Ir.Bool; loc = Slot i } ->
             fun st fr ->
               st.executed <- st.executed + k;
               if fr.ints.(i) <> 0 then blocks.(yes) st fr else blocks.(no) st fr
-          | _ ->
+          | None, _ ->
             let cond = read_boxed cond in
             fun st fr ->
               st.executed <- st.executed + k;
@@ -1118,12 +1195,25 @@ and specialise p (f : fn) : code =
       end
     in
     let last = go start in
-    List.fold_left (fun k e -> e k) last !emitted
+    let body = List.fold_left (fun k e -> e k) last !emitted in
+    match p.device with
+    | Some (_, lane) when !bytes > 0 ->
+      let b = !bytes in
+      fun st fr ->
+        lane.mem_bytes <- lane.mem_bytes + b;
+        body st fr
+    | _ -> body
   in
   for pc = n - 1 downto 0 do
     if leader.(pc) && l.stacks.(pc) <> None then blocks.(pc) <- block pc
   done;
-  blocks.(0)
+  match p.device with
+  | None -> blocks.(0)
+  | Some (w, _) ->
+    let body = blocks.(0) and k = w.entry in
+    fun st fr ->
+      st.executed <- st.executed + k;
+      body st fr
 
 type entry = { e_prog : program; e_callee : callee }
 

@@ -25,11 +25,22 @@ module Ir = Lime_ir.Ir
     Task graphs, map sites and reduce sites trap to {!hooks}; the
     Liquid Metal runtime installs hooks that perform artifact
     substitution and co-execution. With {!no_hooks} everything runs
-    inline on the VM itself (pure CPU execution). *)
+    inline on the VM itself (pure CPU execution).
+
+    The same bytecode also runs as a device's work items
+    ({!prepare_device}): the GPU simulator evaluates every kernel
+    application on a device program, which charges the device's
+    weights instead of instruction counts. *)
 
 type v = Lime_ir.Interp.v
 
 exception Vm_error of string
+
+exception Device_error of string
+(** A device program's own traps: a missing function, an argument
+    count that differs from the callee's, a failing intrinsic, and
+    every construct a device cannot run (allocation, objects, nested
+    map/reduce sites and task graphs), each where it executes. *)
 
 type hooks = {
   on_map : Insn.map_desc -> v list -> v option;
@@ -50,8 +61,35 @@ val prepare : Compile.unit_ -> program
 
 type result = {
   value : v;
-  executed : int;  (** dynamic instruction count, including callees *)
+  executed : int;
+      (** dynamic instruction count, including callees; a device
+          program's charged weights *)
 }
+
+(** {2 Device programs} *)
+
+type weights = {
+  cycles : Insn.t -> int;  (** what executing an instruction charges *)
+  bytes : Insn.t -> int;  (** the device-memory bytes it moves *)
+  entry : int;  (** entering a function, from a call or the host *)
+  intrinsic : string -> int;  (** calling an intrinsic *)
+}
+(** A device's cost table over the instruction set. *)
+
+type lane = { mutable mem_bytes : int; mutable branch_sig : int }
+(** The counters of the work item in flight besides its charge:
+    memory bytes, and a signature of its conditional branches
+    ([sig * 31 + 1] per branch taken on true, [+ 2] on false), which
+    tells lanes that took the same path. The caller resets them. *)
+
+val prepare_device : weights -> lane -> Compile.unit_ -> program
+(** A second specialisation of the same code for a device: each block
+    charges the sum of its instructions' [cycles] (a function's entry
+    and an intrinsic charge theirs), adds its [bytes] to [lane] and
+    folds each conditional branch into [lane]'s signature. Its traps
+    are {!Device_error}s with the device's text; host programs are
+    unaffected. Runs on one device program must not overlap, since
+    they share [lane]. *)
 
 type entry
 (** A function of one program, looked up once: a caller that runs the

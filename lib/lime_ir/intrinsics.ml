@@ -54,12 +54,12 @@ let device_cycles key =
   match String.index_opt key '.' with
   | Some i -> (
     match String.sub key (i + 1) (String.length key - i - 1) with
-    | "abs" | "min" | "max" | "floor" -> 1.0
-    | "sqrt" -> 8.0
-    | "exp" | "log" | "sin" | "cos" -> 16.0
-    | "pow" -> 32.0
-    | _ -> 16.0)
-  | None -> 16.0
+    | "abs" | "min" | "max" | "floor" -> 1
+    | "sqrt" -> 8
+    | "exp" | "log" | "sin" | "cos" -> 16
+    | "pow" -> 32
+    | _ -> 16)
+  | None -> 16
 
 let opencl_name key =
   match short key with

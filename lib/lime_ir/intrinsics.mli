@@ -27,7 +27,7 @@ val resolve : string -> Wire.Value.t list -> Wire.Value.t
 (** [resolve key] looks the intrinsic up once; applying the result is
     [apply key]. An unknown key raises {!Error} when applied. *)
 
-val device_cycles : string -> float
+val device_cycles : string -> int
 (** GPU special-function-unit cost of one application. *)
 
 val opencl_name : string -> string
