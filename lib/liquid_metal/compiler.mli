@@ -53,10 +53,8 @@ val engine :
   ?gpu_device:Gpu.Device.t ->
   ?fifo_capacity:int ->
   ?schedule:Runtime.Scheduler.mode ->
-  ?model_divergence:bool ->
   ?chunk_elements:int ->
   ?max_retries:int ->
-  ?retry_backoff_ns:float ->
   ?cost_model:Runtime.Exec.cost_model ->
   ?replan_factor:float ->
   ?map_chunks:int ->
@@ -64,7 +62,7 @@ val engine :
   compiled ->
   Runtime.Exec.t
 (** A co-execution engine over the compiled artifacts.
-    [max_retries]/[retry_backoff_ns] configure the failure protocol,
+    [max_retries] configures the failure protocol,
     [cost_model]/[replan_factor] the placement cost model and online
     re-planning, [map_chunks]/[reduce_chunks] the lowered kernel-site
     execution (see {!Runtime.Exec.create}). *)

@@ -17,10 +17,8 @@ val load :
   ?gpu_device:Gpu.Device.t ->
   ?fifo_capacity:int ->
   ?schedule:Runtime.Scheduler.mode ->
-  ?model_divergence:bool ->
   ?chunk_elements:int ->
   ?max_retries:int ->
-  ?retry_backoff_ns:float ->
   ?cost_model:Runtime.Exec.cost_model ->
   ?replan_factor:float ->
   ?map_chunks:int ->
@@ -30,8 +28,8 @@ val load :
   session
 (** Compile a Lime compilation unit (all backends) and attach a
     co-execution engine. Default policy is the paper's
-    [Prefer_accelerators]; [max_retries]/[retry_backoff_ns] configure
-    the failure protocol, [cost_model]/[replan_factor] the placement
+    [Prefer_accelerators]; [max_retries] configures the failure
+    protocol, [cost_model]/[replan_factor] the placement
     cost model and online re-planning, and [map_chunks]/[reduce_chunks]
     the lowered kernel-site execution (see {!Runtime.Exec.create}).
     [fuse] (default [true]) controls cross-filter fusion end to end:

@@ -40,10 +40,8 @@ val create :
   ?gpu_device:Gpu.Device.t ->
   ?fifo_capacity:int ->
   ?schedule:Scheduler.mode ->
-  ?model_divergence:bool ->
   ?chunk_elements:int ->
   ?max_retries:int ->
-  ?retry_backoff_ns:float ->
   ?cost_model:cost_model ->
   ?replan_factor:float ->
   ?map_chunks:int ->
@@ -52,11 +50,11 @@ val create :
   Store.t ->
   t
 (** Defaults: [Prefer_accelerators], GTX580-class GPU, FIFO capacity
-    16, round-robin scheduling, divergence modeling on, whole-stream
-    device batching ([chunk_elements] bounds the staging buffer and
-    launches the device every that-many elements), [max_retries] 2
-    with a 1000ns backoff base (attempt [k] waits
-    [retry_backoff_ns * 2^k] modeled nanoseconds). The FPGA clock
+    16, round-robin scheduling, whole-stream device batching
+    ([chunk_elements] bounds the staging buffer and launches the
+    device every that-many elements), [max_retries] 2. Not options:
+    the SIMT simulator models warp divergence, retry [k] waits
+    [1000 * 2^k] modeled nanoseconds, and the FPGA clock
     ({!Rtl.Sim.clock_ns}) and the boundary models ({!Metrics.create})
     are fixed.
 
