@@ -142,8 +142,6 @@ let rec stmt_text indent (s : Ast.stmt) : string =
 and block_text indent (b : Ast.block) =
   String.concat "" (List.map (stmt_text indent) b)
 
-let stmt_to_string ?(indent = 0) s = stmt_text indent s
-
 let locality_text (l : Ast.locality) =
   match l with
   | Ast.L_local -> "local "
@@ -169,8 +167,6 @@ let method_text indent (m : Ast.method_decl) =
       m.m_name (params_text m.m_params)
       (block_text (indent + 2) m.m_body)
       pad
-
-let method_to_string ?(indent = 0) m = method_text indent m
 
 let decl_text (d : Ast.decl) =
   match d with

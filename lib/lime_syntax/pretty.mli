@@ -6,8 +6,6 @@
     tooling and error reporting. *)
 
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : ?indent:int -> Ast.stmt -> string
-val method_to_string : ?indent:int -> Ast.method_decl -> string
 val program_to_string : Ast.program -> string
 
 val strip_locations : Ast.program -> Ast.program

@@ -30,12 +30,6 @@ let eps = 0.005
 
 let find_arg sp key = List.assoc_opt key sp.args
 
-let arg_float sp key =
-  match find_arg sp key with
-  | Some (Trace.Float f) -> Some f
-  | Some (Trace.Int i) -> Some (float_of_int i)
-  | _ -> None
-
 let arg_int sp key =
   match find_arg sp key with
   | Some (Trace.Int i) -> Some i

@@ -37,8 +37,5 @@ val slices :
 (** {2 Argument accessors} *)
 
 val find_arg : span -> string -> Support.Trace.arg option
-val arg_float : span -> string -> float option
-(** Also accepts [Int] args. *)
-
 val arg_int : span -> string -> int option
 val arg_bool : span -> string -> bool option

@@ -54,13 +54,6 @@ val cost_fn : Calibrate.ctx -> Runtime.Exec.cost_model
     [Exec.set_cost_model]: the engine's Adaptive policy and online
     re-planner then agree with the plan the report printed. *)
 
-val makespan_of : n:int -> (float * int) list -> float
-(** [makespan_of ~n stages] predicts a pipeline's makespan from
-    per-actor (firing cost, burst) pairs, source through sink: solve
-    the SDF balance equations, charge the bottleneck actor's total
-    work plus one pipeline fill. Falls back to the sequential sum if
-    the rate algebra cannot solve the graph. *)
-
 val plan : Calibrate.ctx -> n:int -> report
 (** Plan every task graph and every lowered map/reduce kernel site
     ([Lime_ir.Lower_mapreduce]) of the context's program for stream

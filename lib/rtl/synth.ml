@@ -27,13 +27,9 @@ let scalar_ty = Ir.scalar_ty
    cache. The compiler driver threads one cache through the whole
    FPGA backend, so each callee is walked once per compile instead of
    once per enclosing subchain. *)
-type cache = {
-  c_results : (string, (float, string) result) Hashtbl.t;
-  mutable c_hits : int;
-}
+type cache = (string, (float, string) result) Hashtbl.t
 
-let make_cache () = { c_results = Hashtbl.create 32; c_hits = 0 }
-let cache_hits c = c.c_hits
+let make_cache () : cache = Hashtbl.create 32
 
 (* Early rejection from the interprocedural effect summaries
    ([Analysis.Effects]) before any structural walk — the same
@@ -91,20 +87,16 @@ let rec analyze_fn (prog : Ir.program) ?effects ?cache ~stack (key : string) :
   match cache with
   | None -> compute ()
   | Some c -> (
-    match Hashtbl.find_opt c.c_results key with
-    | Some (Ok ops) ->
-      c.c_hits <- c.c_hits + 1;
-      ops
-    | Some (Error reason) ->
-      c.c_hits <- c.c_hits + 1;
-      raise (Unsuitable reason)
+    match Hashtbl.find_opt c key with
+    | Some (Ok ops) -> ops
+    | Some (Error reason) -> raise (Unsuitable reason)
     | None -> (
       match compute () with
       | ops ->
-        Hashtbl.replace c.c_results key (Ok ops);
+        Hashtbl.replace c key (Ok ops);
         ops
       | exception Unsuitable reason ->
-        Hashtbl.replace c.c_results key (Error reason);
+        Hashtbl.replace c key (Error reason);
         raise (Unsuitable reason)))
 
 and analyze_block prog ?effects ?cache ~stack (b : Ir.block) : float =

@@ -22,9 +22,6 @@ type cache
 
 val make_cache : unit -> cache
 
-val cache_hits : cache -> int
-(** How many function analyses were served from the memo. *)
-
 val check_filter :
   ?effects:Analysis.Effects.t ->
   ?cache:cache ->

@@ -28,8 +28,6 @@ val pipelined_module_text : Ir.program -> Netlist.stage -> string
     register of valid/data pairs. Stateless datapaths only.
     @raise Unsynthesizable if the stage has register state. *)
 
-val fifo_module_text : depth:int -> string
-
 val sym_fn : Ir.program -> string -> string list -> string * (int * string) list
 (** [sym_fn prog key args] symbolically evaluates a function to its
     result expression text and field next-value updates (exposed for

@@ -48,10 +48,6 @@ val is_resident : t -> device:Artifact.device -> uid:string -> bool
 val residents : t -> device:Artifact.device -> string list
 (** Most recently used first. *)
 
-val evict_residents : t -> device:Artifact.device -> unit
-(** Drop a device's residency set. {!quarantine} does this
-    implicitly — a device out of service cannot hold staged state. *)
-
 val manifest : t -> Artifact.manifest
 val artifact_count : t -> int
 

@@ -29,8 +29,6 @@ type segment =
   | S_bytecode of Ir.filter_info list
   | S_device of Artifact.t * Ir.filter_info list
 
-let segment_filters = function S_bytecode fs | S_device (_, fs) -> fs
-
 (* Replace every registered fusible run inside a bytecode run with its
    synthetic fused filter, so even an all-bytecode plan executes the
    run as one segment (one actor, one VM call per element). The

@@ -28,8 +28,6 @@ type segment =
   | S_bytecode of Ir.filter_info list
   | S_device of Artifact.t * Ir.filter_info list
 
-val segment_filters : segment -> Ir.filter_info list
-
 val plan :
   ?fuse:bool ->
   ?cost:(Artifact.t option -> Ir.filter_info list -> float) ->

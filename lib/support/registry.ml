@@ -130,8 +130,6 @@ let value ?(labels = []) m =
     (fun s -> s.s_value)
     (List.find_opt (fun s -> s.s_labels = labels) m.m_samples)
 
-let metric_names t = List.map (fun m -> m.m_name) t.metrics
-
 (* --- export ------------------------------------------------------------ *)
 
 (* Integral values print without a fraction so counters read as counts;

@@ -47,9 +47,6 @@ val value : ?labels:(string * string) list -> metric -> float option
 (** The current sample value (histograms: the observation sum), or
     [None] when that label set was never touched. *)
 
-val metric_names : t -> string list
-(** In registration order. *)
-
 val to_text : t -> string
 (** OpenMetrics-style exposition: [# HELP]/[# TYPE] comment lines, then
     [name{label="v"} value] per sample; histograms expand into
