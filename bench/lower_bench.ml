@@ -18,28 +18,11 @@ module Compiler = Liquid_metal.Compiler
 module Exec = Runtime.Exec
 module Substitute = Runtime.Substitute
 module Metrics = Runtime.Metrics
-module I = Lime_ir.Interp
 
 let run_once (w : Workloads.t) c ~size =
   let engine = Compiler.engine ~policy:Substitute.Prefer_accelerators c in
   let result = Exec.call engine w.Workloads.entry (w.Workloads.args ~size) in
   (result, Exec.modeled_ns engine, Metrics.snapshot (Exec.metrics engine))
-
-(* The reference result: the interpreter over the unoptimized IR, so
-   neither the optimizer nor any backend is shared with the path under
-   test. *)
-let expected (w : Workloads.t) ~size =
-  let prog =
-    Lime_syntax.Parser.parse ~file:(w.Workloads.name ^ ".lime")
-      w.Workloads.source
-    |> Lime_types.Typecheck.check |> Lime_ir.Lower.lower
-  in
-  I.call prog w.Workloads.entry (w.Workloads.args ~size)
-
-(* Bit-exact agreement: [Wire.Value.equal] compares floats with [=]
-   (NaN equal to NaN), never with a tolerance. *)
-let agrees (a : I.v) (b : I.v) =
-  match a, b with I.Prim x, I.Prim y -> Wire.Value.equal x y | _ -> false
 
 let () =
   let out_path =
@@ -55,7 +38,7 @@ let () =
       let size = w.Workloads.default_size in
       let c = Compiler.compile w.Workloads.source in
       let lowered_r, lowered_ns, m = run_once w c ~size in
-      if not (agrees (expected w ~size) lowered_r) then begin
+      if not (Oracle.agrees (Oracle.expected w ~size) lowered_r) then begin
         Printf.eprintf "FAIL %s: lowered output diverged from the interpreter\n"
           w.Workloads.name;
         incr failures

@@ -1,21 +1,20 @@
-(* Steady-state vs round-robin scheduling bench.
+(* Task-graph scheduling gate.
 
    For each pinned (workload, policy) entry this runs the task-graph
-   workload once under the round-robin scheduler and once under the
-   steady-state schedule, checks the outputs are bitwise identical,
-   and records scheduler steps, blocked steps and wall time in
+   workload once, checks its output against [Lime_ir.Interp] over the
+   unoptimized IR (the oracle of the lowering gate), and records
+   scheduler steps, blocked steps, rounds and wall time in
    BENCH_sched.json (path overridable as argv 1).
 
-   Exits nonzero if any entry's steady run blocks more than its
-   round-robin run — `make check` uses this as the scheduling
-   regression gate. *)
+   Exits nonzero if any entry's output diverges or any run takes a
+   blocked step: the budgets solved from a graph's repetition vector
+   drain it without a single blocked probe. `make check` uses this as
+   the scheduling regression gate. *)
 
 module Compiler = Liquid_metal.Compiler
 module Exec = Runtime.Exec
 module Substitute = Runtime.Substitute
 module Metrics = Runtime.Metrics
-module Scheduler = Runtime.Scheduler
-module I = Lime_ir.Interp
 
 (* Task-graph workloads only: map/reduce-style workloads never invoke
    the scheduler and would contribute empty rows. *)
@@ -31,9 +30,9 @@ let entries =
     "crc8", 256, "accel", Substitute.Prefer_accelerators;
   ]
 
-let run_once (w : Workloads.t) ~size ~policy ~schedule =
+let run_once (w : Workloads.t) ~size ~policy =
   let c = Compiler.compile w.Workloads.source in
-  let engine = Compiler.engine ~policy ~schedule c in
+  let engine = Compiler.engine ~policy c in
   let t0 = Unix.gettimeofday () in
   let result = Exec.call engine w.Workloads.entry (w.Workloads.args ~size) in
   let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
@@ -43,49 +42,30 @@ let () =
   let out_path = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_sched.json" in
   let rows = ref [] in
   let failures = ref 0 in
-  Printf.printf "%-10s %-9s %6s  %14s %14s  %9s\n" "workload" "policy" "size"
-    "rr blocked" "steady blocked" "reduction";
+  Printf.printf "%-10s %-9s %6s  %8s %8s %7s\n" "workload" "policy" "size"
+    "steps" "blocked" "rounds";
   List.iter
     (fun (name, size, pname, policy) ->
       let w = Workloads.find name in
-      let rr, m_rr, rr_ms =
-        run_once w ~size ~policy ~schedule:Scheduler.Round_robin
-      in
-      let st, m_st, st_ms =
-        run_once w ~size ~policy ~schedule:Scheduler.Steady_state
-      in
-      if Stdlib.compare rr st <> 0 then begin
-        Printf.eprintf "FAIL %s/%s: steady output diverged from round-robin\n"
+      let got, m, wall_ms = run_once w ~size ~policy in
+      if not (Oracle.agrees (Oracle.expected w ~size) got) then begin
+        Printf.eprintf "FAIL %s/%s: output diverged from the interpreter\n"
           name pname;
         incr failures
       end;
-      if m_st.Metrics.sched_blocked_steps > m_rr.Metrics.sched_blocked_steps
-      then begin
-        Printf.eprintf
-          "FAIL %s/%s: steady blocked %d > round-robin blocked %d\n" name
-          pname m_st.Metrics.sched_blocked_steps
-          m_rr.Metrics.sched_blocked_steps;
+      if m.Metrics.sched_blocked_steps > 0 then begin
+        Printf.eprintf "FAIL %s/%s: %d blocked step(s)\n" name pname
+          m.Metrics.sched_blocked_steps;
         incr failures
       end;
-      let reduction =
-        if m_rr.Metrics.sched_blocked_steps = 0 then "n/a"
-        else
-          Printf.sprintf "%.0f%%"
-            (100.0
-            *. (1.0
-               -. float_of_int m_st.Metrics.sched_blocked_steps
-                  /. float_of_int m_rr.Metrics.sched_blocked_steps))
-      in
-      Printf.printf "%-10s %-9s %6d  %14d %14d  %9s\n" name pname size
-        m_rr.Metrics.sched_blocked_steps m_st.Metrics.sched_blocked_steps
-        reduction;
+      Printf.printf "%-10s %-9s %6d  %8d %8d %7d\n" name pname size
+        m.Metrics.sched_steps m.Metrics.sched_blocked_steps
+        m.Metrics.sched_rounds;
       rows :=
         Printf.sprintf
-          "{\"workload\":%S,\"policy\":%S,\"size\":%d,\"roundrobin\":{\"steps\":%d,\"blocked_steps\":%d,\"rounds\":%d,\"wall_ms\":%.1f},\"steady\":{\"steps\":%d,\"blocked_steps\":%d,\"rounds\":%d,\"fallbacks\":%d,\"wall_ms\":%.1f}}"
-          name pname size m_rr.Metrics.sched_steps
-          m_rr.Metrics.sched_blocked_steps m_rr.Metrics.sched_rounds rr_ms
-          m_st.Metrics.sched_steps m_st.Metrics.sched_blocked_steps
-          m_st.Metrics.sched_rounds m_st.Metrics.sched_fallbacks st_ms
+          "{\"workload\":%S,\"policy\":%S,\"size\":%d,\"steps\":%d,\"blocked_steps\":%d,\"rounds\":%d,\"wall_ms\":%.1f}"
+          name pname size m.Metrics.sched_steps
+          m.Metrics.sched_blocked_steps m.Metrics.sched_rounds wall_ms
         :: !rows)
     entries;
   let oc = open_out out_path in

@@ -103,28 +103,6 @@ let policy_conv =
   in
   Arg.conv (parse, print)
 
-let schedule_conv =
-  let parse = function
-    | "steady" -> Ok Runtime.Scheduler.Steady_state
-    | "roundrobin" | "rr" -> Ok Runtime.Scheduler.Round_robin
-    | s -> Error (`Msg ("unknown schedule: " ^ s ^ " (steady|roundrobin)"))
-  in
-  let print ppf m =
-    Format.fprintf ppf "%s" (Runtime.Scheduler.mode_name m)
-  in
-  Arg.conv (parse, print)
-
-let schedule_arg =
-  Arg.(
-    value
-    & opt schedule_conv Runtime.Scheduler.Round_robin
-    & info [ "schedule" ] ~docv:"MODE"
-        ~doc:
-          "task-graph scheduling mode: $(b,roundrobin) (default) or \
-           $(b,steady) — solve the SDF balance equations and fire actors \
-           in steady-state batches (falls back to round-robin when the \
-           rates are dynamic or unsolvable)")
-
 let positive_int_conv =
   let parse s =
     match int_of_string_opt s with
@@ -372,13 +350,13 @@ let run_cmd =
   let verbose =
     Arg.(value & flag & info [ "metrics" ] ~doc:"print execution metrics")
   in
-  let action file entry args policy schedule fifo_capacity verbose faults
-      max_retries replan_factor fuse trace profile report metrics_export =
+  let action file entry args policy fifo_capacity verbose faults max_retries
+      replan_factor fuse trace profile report metrics_export =
     handle_compile_errors (fun () ->
         setup_tracing ~trace ~profile:(profile || report);
         let session =
-          Lm.load ~policy ~schedule ?fifo_capacity ?max_retries ?replan_factor
-            ~fuse (read_file file)
+          Lm.load ~policy ?fifo_capacity ?max_retries ?replan_factor ~fuse
+            (read_file file)
         in
         setup_faults faults;
         let values = List.map parse_value args in
@@ -403,12 +381,6 @@ let run_cmd =
             m.device_faults m.retries m.resubstitutions;
         if replan_factor <> None then
           Printf.printf "replans: %d online re-plan(s)\n" m.replans;
-        if schedule = Runtime.Scheduler.Steady_state then
-          Printf.printf
-            "sched: %d run(s) (%d steady, %d fallback(s)), %d step(s), %d \
-             blocked\n"
-            m.sched_runs m.sched_steady m.sched_fallbacks m.sched_steps
-            m.sched_blocked_steps;
         export_metrics metrics_export m;
         finish_tracing ~trace ~profile (Some m);
         if report then
@@ -418,9 +390,9 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"compile and co-execute an entry point")
     Term.(
-      const action $ file_arg $ entry $ args $ policy $ schedule_arg
-      $ fifo_capacity_arg $ verbose $ faults_arg $ retries_arg $ replan_arg
-      $ fuse_arg $ trace_arg $ profile_arg $ report_flag $ metrics_export_arg)
+      const action $ file_arg $ entry $ args $ policy $ fifo_capacity_arg
+      $ verbose $ faults_arg $ retries_arg $ replan_arg $ fuse_arg $ trace_arg
+      $ profile_arg $ report_flag $ metrics_export_arg)
 
 (* --- disasm ----------------------------------------------------------- *)
 
@@ -465,8 +437,8 @@ let workloads_cmd =
          & info [ "policy" ] ~docv:"POLICY"
              ~doc:"substitution policy (as for run)")
   in
-  let action name size policy schedule fifo_capacity faults max_retries
-      replan_factor fuse trace profile report metrics_export =
+  let action name size policy fifo_capacity faults max_retries replan_factor
+      fuse trace profile report metrics_export =
     match (name : string option) with
     | None ->
       List.iter
@@ -484,8 +456,8 @@ let workloads_cmd =
           setup_tracing ~trace ~profile:(profile || report);
           let size = Option.value size ~default:w.default_size in
           let session =
-            Lm.load ~policy ~schedule ?fifo_capacity ?max_retries
-              ?replan_factor ~fuse w.source
+            Lm.load ~policy ?fifo_capacity ?max_retries ?replan_factor ~fuse
+              w.source
           in
           setup_faults faults;
           let t0 = Unix.gettimeofday () in
@@ -512,12 +484,6 @@ let workloads_cmd =
               m.device_faults m.retries m.resubstitutions;
           if replan_factor <> None then
             Printf.printf "replans: %d online re-plan(s)\n" m.replans;
-          if schedule = Runtime.Scheduler.Steady_state then
-            Printf.printf
-              "sched: %d run(s) (%d steady, %d fallback(s)), %d step(s), %d \
-               blocked\n"
-              m.sched_runs m.sched_steady m.sched_fallbacks m.sched_steps
-              m.sched_blocked_steps;
           export_metrics metrics_export m;
           finish_tracing ~trace ~profile (Some m);
           if report then
@@ -527,9 +493,9 @@ let workloads_cmd =
   Cmd.v
     (Cmd.info "workloads" ~doc:"list or run the benchmark workloads")
     Term.(
-      const action $ workload_name $ size $ policy $ schedule_arg
-      $ fifo_capacity_arg $ faults_arg $ retries_arg $ replan_arg $ fuse_arg
-      $ trace_arg $ profile_arg $ report_flag $ metrics_export_arg)
+      const action $ workload_name $ size $ policy $ fifo_capacity_arg
+      $ faults_arg $ retries_arg $ replan_arg $ fuse_arg $ trace_arg
+      $ profile_arg $ report_flag $ metrics_export_arg)
 
 (* --- plan -------------------------------------------------------------- *)
 
@@ -658,7 +624,7 @@ let report_cmd =
              ~doc:"substitution policy (as for run)")
   in
   let action target entry args size json from_trace store_path policy
-      schedule fifo_capacity faults max_retries replan_factor =
+      fifo_capacity faults max_retries replan_factor =
     handle_compile_errors (fun () ->
         match from_trace with
         | Some path -> (
@@ -724,8 +690,8 @@ let report_cmd =
             (* Ring sink first so the compiler phases land in the trace. *)
             Support.Trace.set_sink (Support.Trace.ring ());
             let session =
-              Lm.load ~policy ~schedule ?fifo_capacity ?max_retries
-                ?replan_factor source
+              Lm.load ~policy ?fifo_capacity ?max_retries ?replan_factor
+                source
             in
             setup_faults faults;
             let _result = Lm.run session entry values in
@@ -742,8 +708,8 @@ let report_cmd =
           against the placement profile store (see docs/OBSERVABILITY.md)")
     Term.(
       const action $ target $ entry $ args $ size $ json $ from_trace
-      $ store_path_arg $ policy $ schedule_arg $ fifo_capacity_arg
-      $ faults_arg $ retries_arg $ replan_arg)
+      $ store_path_arg $ policy $ fifo_capacity_arg $ faults_arg
+      $ retries_arg $ replan_arg)
 
 (* --- dump-ir ----------------------------------------------------------- *)
 

@@ -112,8 +112,8 @@ let check (prog : Ir.program) ~fifo_capacity
             | _ -> ());
             add `Note loc "LMA011"
               "task graph %s: rates are not static constants, so no \
-               steady-state schedule exists; the runtime falls back to \
-               round-robin scheduling"
+               static schedule exists; the runtime solves each run's \
+               schedule from that run's rates"
               uid
           | Ok sched ->
             List.iter

@@ -14,15 +14,15 @@
    bound no matter how the scheduler interleaves the actors.
 
    [Graphlint] uses the verdict statically (LMA010/LMA011/LMA012 and
-   the per-edge LMA003 capacity check); [Runtime.Exec] uses the solved
-   repetition vector to run the graph in steady-state order with
-   schedule-sized FIFO capacities instead of blind round-robin
-   stepping.
+   the per-edge LMA003 capacity check); [Runtime.Exec] solves every
+   run's chain ([chain_firings]) and runs the graph in steady-state
+   order with schedule-sized FIFO capacities.
 
    Rates are intervals (the same domain the range analysis computes
    for the [R_mkgraph] operands), so "not a static constant" is a
-   first-class verdict ([Dynamic]) rather than a crash — those graphs
-   simply keep the dynamic round-robin scheduler. *)
+   first-class verdict ([Dynamic]) rather than a crash. At run time
+   every rate is a constant, so the runtime solves those graphs from
+   the rates of each run. *)
 
 module Iv = Interval
 module Ir = Lime_ir.Ir

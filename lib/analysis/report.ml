@@ -13,7 +13,7 @@
    - LMA008  note     effects of a global function
    - LMA009  warning  branch decided at compile time (dead code)
    - LMA010  error    balance equations unsolvable (no steady state exists)
-   - LMA011  note     dynamic rates: no static schedule, round-robin fallback
+   - LMA011  note     dynamic rates: no static schedule, solved per run
    - LMA012  note     balance equations solved (repetition vector reported)
    - LMA013  note     some (not all) array accesses proven in bounds
    - LMA014  note     proven accesses compile to unguarded loads/stores

@@ -11,6 +11,14 @@ exception Device_error of string
 let fail fmt = Format.kasprintf (fun s -> raise (Vm_error s)) fmt
 let device_fail fmt = Format.kasprintf (fun s -> raise (Device_error s)) fmt
 
+type graph = {
+  g_uid : string;
+  g_source : V.t;
+  g_rate : int;
+  g_filters : (Ir.filter_info * v option) list;
+  g_sink : V.t;
+}
+
 type hooks = {
   on_map : Insn.map_desc -> v list -> v option;
   on_reduce : Insn.reduce_desc -> v -> v option;
@@ -686,6 +694,45 @@ let bind_arg (g : fn) j (a : operand) : frame -> frame -> unit =
 
 (* Look [key] up once per program. Intrinsics win over functions, as
    they always have; a missing function traps only when called. *)
+(* Pair a template's nodes with the operands of one start: the source
+   array and rate, each filter's receiver (an instance filter takes
+   one, a static filter none) and the sink array. The runtime's graph
+   hook and [run_graph_seq] both run what this returns. *)
+let bind_graph (template : Ir.graph_template) (ops : v list) : graph =
+  let take k ops =
+    let rec go k acc = function
+      | rest when k = 0 -> List.rev acc, rest
+      | x :: rest -> go (k - 1) (x :: acc) rest
+      | [] -> fail "graph template operand underflow"
+    in
+    go k [] ops
+  in
+  let nodes, rest =
+    List.fold_left
+      (fun (acc, ops) node ->
+        let mine, ops = take (Ir.tnode_operand_count node) ops in
+        (node, mine) :: acc, ops)
+      ([], ops) template.Ir.gt_nodes
+  in
+  if rest <> [] then fail "graph template operand overflow";
+  match List.rev nodes with
+  | (Ir.N_source _, [ arr; rate ]) :: rest ->
+    let rec split fs = function
+      | [ (Ir.N_sink _, [ dest ]) ] -> List.rev fs, dest
+      | (Ir.N_filter f, []) :: rest -> split ((f, None) :: fs) rest
+      | (Ir.N_filter f, [ recv ]) :: rest -> split ((f, Some recv) :: fs) rest
+      | _ -> fail "malformed graph template"
+    in
+    let fs, dest = split [] rest in
+    {
+      g_uid = template.Ir.gt_uid;
+      g_source = prim arr;
+      g_rate = (match prim rate with V.Int r -> r | _ -> 1);
+      g_filters = fs;
+      g_sink = prim dest;
+    }
+  | _ -> fail "malformed graph template"
+
 let rec resolve p key : callee =
   match Hashtbl.find_opt p.fns key with
   | Some c -> c
@@ -797,51 +844,24 @@ and run_graph st h ~blocking =
       | Some hook -> hook template ops ~blocking
       | None -> false
     in
-    if not handled then run_graph_seq st template ops
+    if not handled then run_graph_seq st (bind_graph template ops)
 
 (* Default graph execution on the VM: every filter application is a
    bytecode call (the all-bytecode configuration of section 4.1). *)
-and run_graph_seq st (template : Ir.graph_template) (ops : v list) : unit =
-  let take k ops =
-    let rec go k acc = function
-      | rest when k = 0 -> List.rev acc, rest
-      | x :: rest -> go (k - 1) (x :: acc) rest
-      | [] -> fail "graph template operand underflow"
+and run_graph_seq st (g : graph) : unit =
+  let apply ((f : Ir.filter_info), receiver) x =
+    let key =
+      match f.Ir.target with
+      | Ir.F_static key -> key
+      | Ir.F_instance (cls, m) -> cls ^ "." ^ m
     in
-    go k [] ops
+    let args = match receiver with None -> [ x ] | Some r -> [ r; x ] in
+    invoke st (resolve st.prog key) args
   in
-  let nodes, rest =
-    List.fold_left
-      (fun (acc, ops) node ->
-        let mine, ops = take (Ir.tnode_operand_count node) ops in
-        (node, mine) :: acc, ops)
-      ([], ops) template.Ir.gt_nodes
-  in
-  if rest <> [] then fail "graph template operand overflow";
-  let nodes = List.rev nodes in
-  let source, filters, sink =
-    match nodes with
-    | (Ir.N_source _, [ arr; _rate ]) :: rest -> (
-      let rec split fs = function
-        | [ (Ir.N_sink _, [ dest ]) ] -> List.rev fs, dest
-        | (Ir.N_filter f, fops) :: rest -> split ((f, fops) :: fs) rest
-        | _ -> fail "malformed graph template"
-      in
-      let fs, dest = split [] rest in
-      prim arr, fs, prim dest)
-    | _ -> fail "malformed graph template"
-  in
-  let apply (f : Ir.filter_info) fops x =
-    match f.Ir.target, fops with
-    | Ir.F_static key, [] -> invoke st (resolve st.prog key) [ x ]
-    | Ir.F_instance (cls, m), [ recv ] ->
-      invoke st (resolve st.prog (cls ^ "." ^ m)) [ recv; x ]
-    | _ -> fail "malformed filter operands"
-  in
-  for i = 0 to I.array_length source - 1 do
-    let x = ref (I.Prim (I.array_get source i)) in
-    List.iter (fun (f, fops) -> x := apply f fops !x) filters;
-    I.array_set sink i (prim !x)
+  for i = 0 to I.array_length g.g_source - 1 do
+    let x = ref (I.Prim (I.array_get g.g_source i)) in
+    List.iter (fun pair -> x := apply pair !x) g.g_filters;
+    I.array_set g.g_sink i (prim !x)
   done
 
 (* Specialise one function into closures, one chain per basic block.

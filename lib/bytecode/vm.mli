@@ -42,11 +42,29 @@ exception Device_error of string
     every construct a device cannot run (allocation, objects, nested
     map/reduce sites and task graphs), each where it executes. *)
 
+(** A task-graph template bound to the operands of one start. *)
+type graph = {
+  g_uid : string;  (** the template's UID *)
+  g_source : Wire.Value.t;  (** the source array *)
+  g_rate : int;  (** elements the source pushes per firing *)
+  g_filters : (Ir.filter_info * v option) list;
+      (** the filters in order, each with its receiver if it is an
+          instance filter *)
+  g_sink : Wire.Value.t;  (** the destination array *)
+}
+
 type hooks = {
   on_map : Insn.map_desc -> v list -> v option;
   on_reduce : Insn.reduce_desc -> v -> v option;
   on_run_graph : (Ir.graph_template -> v list -> blocking:bool -> bool) option;
+      (** runs a started graph; [false] leaves it to the VM, which
+          applies every filter inline *)
 }
+
+val bind_graph : Ir.graph_template -> v list -> graph
+(** A template's nodes paired with the operands of one start.
+    @raise Vm_error on too few or too many operands, or a template
+    that is not a source, filters and a sink. *)
 
 val no_hooks : hooks
 

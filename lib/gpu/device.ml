@@ -40,5 +40,3 @@ let mobile =
 let total_lanes d = d.sms * d.lanes_per_warp
 
 let cycles_to_ns d cycles = cycles /. d.clock_ghz
-
-let pp ppf d = Format.fprintf ppf "%s" d.name

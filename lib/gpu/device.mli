@@ -24,4 +24,3 @@ val mobile : t
 
 val total_lanes : t -> int
 val cycles_to_ns : t -> float -> float
-val pp : Format.formatter -> t -> unit

@@ -153,10 +153,6 @@ let split_bounds ~(n : int) ~(chunks : int) : (int * int) list =
 
 let kind_name = function K_map _ -> "map" | K_reduce _ -> "reduce"
 
-let describe (lw : lowered) =
-  Printf.sprintf "%s %s: scatter -> %s -> gather" (kind_name lw.lw_kind)
-    lw.lw_uid lw.lw_fn
-
 (* --- weighted instruction estimate ------------------------------------- *)
 
 (* A static per-element work estimate for a kernel-site function that,

@@ -38,7 +38,6 @@ val split_bounds : n:int -> chunks:int -> (int * int) list
     [0, n) exactly; lengths differ by at most one. *)
 
 val kind_name : kind -> string
-val describe : lowered -> string
 
 val weighted_insns : Ir.program -> string -> int
 (** Loop- and call-aware static instruction estimate for one

@@ -143,5 +143,3 @@ let to_string = function
   | MINUSASSIGN -> "-="
   | STARASSIGN -> "*="
   | EOF -> "<eof>"
-
-let pp ppf t = Format.fprintf ppf "%s" (to_string t)

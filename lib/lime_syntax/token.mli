@@ -77,5 +77,4 @@ type t =
   | STARASSIGN
   | EOF
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

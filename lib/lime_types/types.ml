@@ -32,8 +32,6 @@ let rec equal a b =
 let widens_to a b =
   equal a b || match a, b with Int, Float -> true | _ -> false
 
-let freeze = function Array (t, Mut) -> Array (t, Immut) | t -> t
-
 let rec pp ppf = function
   | Int -> Format.fprintf ppf "int"
   | Float -> Format.fprintf ppf "float"

@@ -31,9 +31,5 @@ val widens_to : ty -> ty -> bool
 (** [widens_to a b] when [a] implicitly converts to [b] (identity, or
     the Java [int] to [float] widening). *)
 
-val freeze : ty -> ty
-(** Shallow conversion of the outermost array to [Immut], used for
-    [new t\[\[\]\](e)]. *)
-
 val pp : Format.formatter -> ty -> unit
 val to_string : ty -> string

@@ -373,9 +373,9 @@ let compile ?(file = "<lime>") ?(fuse = true) source : compiled =
 
 let manifest (c : compiled) = Runtime.Store.manifest c.store
 
-let engine ?policy ?fuse ?gpu_device ?fifo_capacity ?schedule ?chunk_elements
+let engine ?policy ?fuse ?gpu_device ?fifo_capacity ?chunk_elements
     ?max_retries ?cost_model ?replan_factor ?map_chunks ?reduce_chunks
     (c : compiled) =
-  Runtime.Exec.create ?policy ?fuse ?gpu_device ?fifo_capacity ?schedule
+  Runtime.Exec.create ?policy ?fuse ?gpu_device ?fifo_capacity
     ?chunk_elements ?max_retries ?cost_model ?replan_factor ?map_chunks
     ?reduce_chunks c.unit_ c.store

@@ -52,7 +52,6 @@ val engine :
   ?fuse:bool ->
   ?gpu_device:Gpu.Device.t ->
   ?fifo_capacity:int ->
-  ?schedule:Runtime.Scheduler.mode ->
   ?chunk_elements:int ->
   ?max_retries:int ->
   ?cost_model:Runtime.Exec.cost_model ->

@@ -3,14 +3,13 @@ module V = Wire.Value
 
 type session = { compiled_ : Compiler.compiled; engine_ : Runtime.Exec.t }
 
-let load ?policy ?gpu_device ?fifo_capacity ?schedule ?chunk_elements
-    ?max_retries ?cost_model ?replan_factor ?map_chunks ?reduce_chunks ?fuse
-    source =
+let load ?policy ?gpu_device ?fifo_capacity ?chunk_elements ?max_retries
+    ?cost_model ?replan_factor ?map_chunks ?reduce_chunks ?fuse source =
   let compiled_ = Compiler.compile ?fuse source in
   let engine_ =
-    Compiler.engine ?policy ?gpu_device ?fifo_capacity ?schedule
-      ?chunk_elements ?max_retries ?cost_model ?replan_factor ?map_chunks
-      ?reduce_chunks ?fuse compiled_
+    Compiler.engine ?policy ?gpu_device ?fifo_capacity ?chunk_elements
+      ?max_retries ?cost_model ?replan_factor ?map_chunks ?reduce_chunks ?fuse
+      compiled_
   in
   { compiled_; engine_ }
 

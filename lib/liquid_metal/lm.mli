@@ -16,7 +16,6 @@ val load :
   ?policy:Runtime.Substitute.policy ->
   ?gpu_device:Gpu.Device.t ->
   ?fifo_capacity:int ->
-  ?schedule:Runtime.Scheduler.mode ->
   ?chunk_elements:int ->
   ?max_retries:int ->
   ?cost_model:Runtime.Exec.cost_model ->

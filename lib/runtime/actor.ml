@@ -11,8 +11,8 @@ module V = Wire.Value
 
    OCaml 5 has real threads, but deterministic tests matter more here
    than parallel execution, so actors are cooperative: the scheduler
-   steps them round-robin, and an actor reports whether it progressed,
-   blocked on a queue, or finished. The blocking structure — who waits
+   gives each a burst of steps per round, and an actor reports whether
+   it progressed, blocked on a queue, or finished. The blocking structure — who waits
    on which bounded FIFO — is identical to the threaded original. *)
 
 (* A bounded FIFO connection carrying Lime values. Closing marks the

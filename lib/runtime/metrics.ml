@@ -28,9 +28,6 @@ type snapshot = {
       (** online re-plans: a device underperformed its cost model *)
   backoff_ns : float;  (** modeled time spent backing off before retries *)
   sched_runs : int;  (** task-graph scheduler invocations *)
-  sched_steady : int;  (** of which ran the steady-state schedule *)
-  sched_fallbacks : int;
-      (** steady-state requested but fell back to round-robin *)
   sched_rounds : int;  (** cumulative scheduling rounds *)
   sched_steps : int;  (** cumulative actor steps *)
   sched_blocked_steps : int;  (** cumulative blocked steps *)
@@ -63,8 +60,6 @@ type t = {
   mutable replans : int;
   mutable backoff_ns : float;
   mutable sched_runs : int;
-  mutable sched_steady : int;
-  mutable sched_fallbacks : int;
   mutable sched_rounds : int;
   mutable sched_steps : int;
   mutable sched_blocked_steps : int;
@@ -99,8 +94,6 @@ let create () =
     replans = 0;
     backoff_ns = 0.0;
     sched_runs = 0;
-    sched_steady = 0;
-    sched_fallbacks = 0;
     sched_rounds = 0;
     sched_steps = 0;
     sched_blocked_steps = 0;
@@ -145,10 +138,8 @@ let add_mr_run t ~chunks =
   t.mr_runs <- t.mr_runs + 1;
   t.mr_chunks <- t.mr_chunks + chunks
 
-let add_scheduler_run t ~steady ~fallback ~rounds ~steps ~blocked_steps =
+let add_scheduler_run t ~rounds ~steps ~blocked_steps =
   t.sched_runs <- t.sched_runs + 1;
-  if steady then t.sched_steady <- t.sched_steady + 1;
-  if fallback then t.sched_fallbacks <- t.sched_fallbacks + 1;
   t.sched_rounds <- t.sched_rounds + rounds;
   t.sched_steps <- t.sched_steps + steps;
   t.sched_blocked_steps <- t.sched_blocked_steps + blocked_steps
@@ -183,8 +174,6 @@ let snapshot t : snapshot =
     replans = t.replans;
     backoff_ns = t.backoff_ns;
     sched_runs = t.sched_runs;
-    sched_steady = t.sched_steady;
-    sched_fallbacks = t.sched_fallbacks;
     sched_rounds = t.sched_rounds;
     sched_steps = t.sched_steps;
     sched_blocked_steps = t.sched_blocked_steps;
@@ -212,8 +201,6 @@ let reset t =
   t.replans <- 0;
   t.backoff_ns <- 0.0;
   t.sched_runs <- 0;
-  t.sched_steady <- 0;
-  t.sched_fallbacks <- 0;
   t.sched_rounds <- 0;
   t.sched_steps <- 0;
   t.sched_blocked_steps <- 0;
@@ -263,8 +250,6 @@ let diff (later : snapshot) (earlier : snapshot) : snapshot =
     replans = later.replans - earlier.replans;
     backoff_ns = later.backoff_ns -. earlier.backoff_ns;
     sched_runs = later.sched_runs - earlier.sched_runs;
-    sched_steady = later.sched_steady - earlier.sched_steady;
-    sched_fallbacks = later.sched_fallbacks - earlier.sched_fallbacks;
     sched_rounds = later.sched_rounds - earlier.sched_rounds;
     sched_steps = later.sched_steps - earlier.sched_steps;
     sched_blocked_steps =
@@ -376,12 +361,6 @@ let fields : field list =
         (fun s -> s.backoff_ns);
       count_field "sched_runs" ~help:"task-graph scheduler invocations"
         (fun s -> s.sched_runs);
-      count_field "sched_steady"
-        ~help:"scheduler runs using the steady-state schedule"
-        (fun s -> s.sched_steady);
-      count_field "sched_fallbacks"
-        ~help:"steady-state requests that fell back to round-robin"
-        (fun s -> s.sched_fallbacks);
       count_field "sched_rounds" ~help:"cumulative scheduling rounds"
         (fun s -> s.sched_rounds);
       count_field "sched_steps" ~help:"cumulative actor steps"

@@ -28,9 +28,6 @@ type snapshot = {
           re-substituted mid-run *)
   backoff_ns : float;  (** modeled time spent backing off before retries *)
   sched_runs : int;  (** task-graph scheduler invocations *)
-  sched_steady : int;  (** of which ran the steady-state schedule *)
-  sched_fallbacks : int;
-      (** steady-state requested but fell back to round-robin *)
   sched_rounds : int;  (** cumulative scheduling rounds *)
   sched_steps : int;  (** cumulative actor steps *)
   sched_blocked_steps : int;  (** cumulative blocked steps *)
@@ -84,17 +81,8 @@ val add_mr_run : t -> chunks:int -> unit
 (** One map/reduce site executed through the lowered
     scatter/worker/gather graph, with its chunk count. *)
 
-(** One task-graph scheduler invocation: which mode actually ran
-    ([steady]), whether a requested steady-state schedule fell back to
-    round-robin ([fallback]), and the run's {!Scheduler.stats}. *)
-val add_scheduler_run :
-  t ->
-  steady:bool ->
-  fallback:bool ->
-  rounds:int ->
-  steps:int ->
-  blocked_steps:int ->
-  unit
+(** One task-graph scheduler invocation and its {!Scheduler.stats}. *)
+val add_scheduler_run : t -> rounds:int -> steps:int -> blocked_steps:int -> unit
 val boundary : t -> Wire.Boundary.t
 val native_boundary : t -> Wire.Boundary.t
 val snapshot : t -> snapshot

@@ -1,15 +1,10 @@
 (* The cooperative task scheduler.
 
-   One loop for both modes. Each round gives every live actor one
-   burst of up to its step budget:
-
-   - round-robin gives every actor a budget of 1 — blind
-     demand-driven discovery, one step per actor per round;
-   - steady-state gives each actor its per-sweep share of the solved
-     SDF repetition vector ([Analysis.Rates]), so the scheduler never
-     probes an actor that provably has nothing to do — the probes are
-     exactly the blocked steps that dominate round-robin on deep or
-     batching pipelines.
+   Each round gives every live actor one burst of up to its step
+   budget. The runtime budgets each actor with its per-sweep share of
+   the solved SDF repetition vector ([Analysis.Rates]), so the
+   scheduler never probes an actor that provably has nothing to do;
+   a budget of 1 steps blindly, once per actor per round.
 
    A round in which no actor progresses and none finished means the
    graph is wedged (a cycle of full/empty queues), which is reported
@@ -24,12 +19,6 @@ type stats = {
   steps : int;  (** total actor steps taken *)
   blocked_steps : int;  (** steps that found the actor blocked *)
 }
-
-type mode = Round_robin | Steady_state
-
-let mode_name = function
-  | Round_robin -> "roundrobin"
-  | Steady_state -> "steady"
 
 exception Deadlock of string * stats
 
@@ -64,9 +53,9 @@ let run ?(on_round = fun _ -> ()) (budgeted : (Actor.t * int) list) : stats =
           let (a : Actor.t), budget = actor_budget in
           (* One burst: fire up to [budget] times (at least once),
              stopping early on the first block (the burst found the
-             FIFO limit) or on completion. A steady-state budget is
-             this actor's share of the schedule, so a well-sized graph
-             runs the whole sweep without a single blocked probe. *)
+             FIFO limit) or on completion. A budget is this actor's
+             share of the schedule, so a well-sized graph runs the
+             whole sweep without a single blocked probe. *)
           let fired = ref 0 in
           let keep = ref true in
           let running = ref true in

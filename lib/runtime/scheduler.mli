@@ -1,12 +1,11 @@
 (** The cooperative task scheduler.
 
-    One loop, {!run}, for both modes: each round gives every live
-    actor a burst of up to its step budget. Round-robin stepping —
-    blind demand-driven discovery — is every budget 1. The
-    steady-state order gives each actor its per-sweep budget derived
-    from the solved SDF repetition vector ([Analysis.Rates]),
-    eliminating the blocked probes that dominate round-robin on deep
-    or batching pipelines.
+    Each round of {!run} gives every live actor a burst of up to its
+    step budget. The runtime budgets a task graph from its solved SDF
+    repetition vector ([Analysis.Rates]), so a well-sized graph drains
+    in one sweep without a blocked probe; a budget of 1 is blind
+    one-step-per-round stepping, the fallback for a chain with no
+    solution.
 
     A full round in which nothing progresses is a wedged graph (a
     cycle of full/empty queues) and raises {!Deadlock} instead of
@@ -26,14 +25,6 @@ type stats = {
   blocked_steps : int;  (** steps that found the actor blocked *)
 }
 
-(** How the runtime drives a task graph: blind round-robin stepping,
-    or the steady-state batched order when the rate algebra solved the
-    graph's balance equations. *)
-type mode = Round_robin | Steady_state
-
-val mode_name : mode -> string
-(** ["roundrobin"] / ["steady"] — the CLI spelling. *)
-
 exception Deadlock of string * stats
 (** The wedged-graph report plus the scheduler's partial stats at the
     moment of the wedge (rounds run, steps taken, blocked steps). The
@@ -42,10 +33,10 @@ exception Deadlock of string * stats
 
 val run : ?on_round:(int -> unit) -> (Actor.t * int) list -> stats
 (** Each round gives every live actor, in list order, a burst of up to
-    its budget steps (a budget below 1 acts as 1), ending the
-    burst early on the first blocked step. Budgets of 1 are
-    round-robin. Actors should be listed in topological
-    (source-to-sink) order so one sweep can drain the whole pipeline.
+    its budget steps (a budget below 1 acts as 1), ending the burst
+    early on the first blocked step. Actors should be listed in
+    topological (source-to-sink) order so one sweep can drain the
+    whole pipeline.
     [on_round] is called after each completed round with the round
     number — the runtime uses it to sample channel occupancy into the
     trace. *)

@@ -138,7 +138,6 @@ let clear () =
   Hashtbl.reset counters;
   injected_count := 0
 
-let active () = !current
 let enabled () = !current <> None
 let injected () = !injected_count
 

@@ -59,7 +59,6 @@ val install : schedule -> unit
 val clear : unit -> unit
 (** Remove the schedule; {!check} becomes a no-op. *)
 
-val active : unit -> schedule option
 val enabled : unit -> bool
 
 val without : (unit -> 'a) -> 'a

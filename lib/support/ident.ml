@@ -18,8 +18,6 @@ let equal a b = a.stamp = b.stamp && String.equal a.base b.base
 
 let hash t = Hashtbl.hash (t.base, t.stamp)
 
-let pp ppf t = Format.fprintf ppf "%s" (name t)
-
 module Ord = struct
   type nonrec t = t
 

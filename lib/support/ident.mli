@@ -20,7 +20,6 @@ val base : t -> string
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

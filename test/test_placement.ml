@@ -13,7 +13,6 @@ module Compiler = Liquid_metal.Compiler
 module Exec = Runtime.Exec
 module Substitute = Runtime.Substitute
 module Metrics = Runtime.Metrics
-module Scheduler = Runtime.Scheduler
 module Artifact = Runtime.Artifact
 module Store = Runtime.Store
 module Profile = Placement.Profile
@@ -198,7 +197,7 @@ let test_warm_run_hits_store () =
 let test_steady_schedule_cached () =
   let w = Workloads.find "dsp_chain" in
   let c = Compiler.compile w.Workloads.source in
-  let engine = Compiler.engine ~schedule:Scheduler.Steady_state c in
+  let engine = Compiler.engine c in
   let size = 256 in
   let r1 = Exec.call engine w.Workloads.entry (w.Workloads.args ~size) in
   let m1 = Metrics.snapshot (Exec.metrics engine) in

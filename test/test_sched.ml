@@ -2,11 +2,11 @@
 
    Three layers: unit tests of the balance-equation solver
    ([Analysis.Rates.solve]) over hand-built graphs covering every
-   verdict; scheduler-level checks of the [Done] accounting fix and
-   the budgeted steady sweep; and a differential harness proving that
-   [~schedule:Steady_state] produces bitwise-identical outputs to
-   round-robin on every workload while cutting blocked steps on deep
-   pipelines. *)
+   verdict; scheduler-level checks of the [Done] accounting fix, the
+   budgeted steady sweep and the trace's step accounting; and engine
+   runs proving that the budgets the engine solves match the
+   interpreter and drain every workload without a blocked step, with
+   and without faults. *)
 
 module Rates = Analysis.Rates
 module Iv = Analysis.Interval
@@ -16,7 +16,6 @@ module Compiler = Liquid_metal.Compiler
 module Exec = Runtime.Exec
 module Substitute = Runtime.Substitute
 module Metrics = Runtime.Metrics
-module I = Lime_ir.Interp
 module V = Wire.Value
 module Trace = Support.Trace
 
@@ -219,50 +218,66 @@ let test_steady_deadlock_detected () =
 
 (* The scheduler's trace contract: one [sched] instant per burst that
    counted a step, carrying the burst's progress steps as [fired]. A
-   round-robin burst is a single step, so its instants count the steps
-   exactly; a steady burst's progress steps plus the blocked probes are
-   the steps. An actor that is [Done] on its first step emits none. *)
-let test_sched_instants_match_steps () =
+   burst ends at its first blocked step, so the fired steps of all
+   instants plus the blocked steps are the steps, on an engine run and
+   on a budget-1 run that blocks. An actor that is [Done] on its first
+   step emits none. *)
+let sched_instants f =
+  let sink = Trace.ring () in
+  Trace.set_sink sink;
+  Fun.protect ~finally:(fun () -> Trace.set_sink Trace.null) f;
+  List.filter_map
+    (function
+      | Trace.Instant { cat = "sched"; args; _ } -> Some args | _ -> None)
+    (Trace.events sink)
+
+let fired_sum instants =
+  List.fold_left
+    (fun acc args ->
+      match List.assoc_opt "fired" args with
+      | Some (Trace.Int k) -> acc + k
+      | _ -> Alcotest.fail "sched instant without fired")
+    0 instants
+
+let test_sched_instants_account_for_steps () =
   let w = Workloads.find "dsp_chain" in
   let c = Compiler.compile w.Workloads.source in
-  let traced f =
-    let sink = Trace.ring () in
-    Trace.set_sink sink;
-    Fun.protect ~finally:(fun () -> Trace.set_sink Trace.null) f;
-    List.filter_map
-      (function
-        | Trace.Instant { cat = "sched"; args; _ } -> Some args | _ -> None)
-      (Trace.events sink)
+  let engine = Compiler.engine c in
+  let instants =
+    sched_instants (fun () ->
+        ignore
+          (Exec.call engine w.Workloads.entry
+             (w.Workloads.args ~size:w.Workloads.default_size)))
   in
-  let run schedule =
-    let engine = Compiler.engine ~schedule c in
-    let instants =
-      traced (fun () ->
-          ignore
-            (Exec.call engine w.Workloads.entry
-               (w.Workloads.args ~size:w.Workloads.default_size)))
-    in
-    instants, Metrics.snapshot (Exec.metrics engine)
+  let m = Metrics.snapshot (Exec.metrics engine) in
+  check_int "engine: fired plus blocked are the steps" m.Metrics.sched_steps
+    (fired_sum instants + m.Metrics.sched_blocked_steps);
+  (* sink first, so every budget-1 round finds someone blocked *)
+  let n = 8 in
+  let a = Actor.Channel.create ~capacity:1 in
+  let b = Actor.Channel.create ~capacity:1 in
+  let dest = V.Int_array (Array.make n 0) in
+  let actors =
+    [
+      Actor.sink ~name:"snk" dest b;
+      Actor.filter ~name:"id" ~f:Fun.id a b;
+      Actor.source ~name:"src" ~rate:1 (List.init n (fun i -> V.Int i)) a;
+    ]
   in
-  let rr, m_rr = run Scheduler.Round_robin in
-  check_int "round-robin: one instant per step" m_rr.Metrics.sched_steps
-    (List.length rr);
-  let steady, m_st = run Scheduler.Steady_state in
-  check_int "steady ran" 1 m_st.Metrics.sched_steady;
-  let fired =
-    List.fold_left
-      (fun acc args ->
-        match List.assoc_opt "fired" args with
-        | Some (Trace.Int k) -> acc + k
-        | _ -> Alcotest.fail "steady instant without fired")
-      0 steady
+  let stats = ref None in
+  let instants =
+    sched_instants (fun () ->
+        stats := Some (Scheduler.run (List.map (fun a -> a, 1) actors)))
   in
-  check_int "steady: fired plus blocked probes are the steps"
-    m_st.Metrics.sched_steps
-    (fired + m_st.Metrics.sched_blocked_steps);
+  let stats = Option.get !stats in
+  check_bool "budget 1 blocks" true (stats.Scheduler.blocked_steps > 0);
+  check_int "budget 1: fired plus blocked are the steps" stats.Scheduler.steps
+    (fired_sum instants + stats.Scheduler.blocked_steps);
+  check_int "budget 1: one instant per step" stats.Scheduler.steps
+    (List.length instants);
   let noop = Actor.make ~name:"noop" (fun () -> Actor.Done) in
   check_int "done on the first step: no instant" 0
-    (List.length (traced (fun () -> ignore (Scheduler.run [ noop, 1 ]))))
+    (List.length (sched_instants (fun () -> ignore (Scheduler.run [ noop, 1 ]))))
 
 (* --- engine boundary --------------------------------------------------- *)
 
@@ -275,7 +290,7 @@ let test_fifo_capacity_validated () =
       (Test_types.contains msg "fifo_capacity")
   | _ -> Alcotest.fail "fifo_capacity 0 accepted"
 
-(* --- steady vs round-robin differential -------------------------------- *)
+(* --- solved budgets on every workload --------------------------------- *)
 
 let test_sizes =
   [
@@ -284,76 +299,57 @@ let test_sizes =
     "blackscholes", 128; "fir4", 128; "crc8", 64;
   ]
 
-let run_with (w : Workloads.t) ~size ~policy ~schedule =
+let run_with (w : Workloads.t) ~size ~policy =
   let c = Compiler.compile w.Workloads.source in
-  let engine = Compiler.engine ~policy ~schedule c in
+  let engine = Compiler.engine ~policy c in
   let result = Exec.call engine w.Workloads.entry (w.Workloads.args ~size) in
   result, Metrics.snapshot (Exec.metrics engine)
 
-let test_steady_matches_roundrobin () =
+(* Every workload's graphs — task graphs and lowered kernel sites — run
+   on budgets solved from their repetition vectors: the output is the
+   interpreter's, and no actor is ever probed with nothing to do. *)
+let test_zero_blocked_steps () =
   List.iter
     (fun ((name, size) : string * int) ->
       let w = Workloads.find name in
+      let expected = Test_differential.reference w ~size in
       List.iter
-        (fun policy ->
-          let expected, _ =
-            run_with w ~size ~policy ~schedule:Scheduler.Round_robin
-          in
-          let got, m =
-            run_with w ~size ~policy ~schedule:Scheduler.Steady_state
-          in
-          if Stdlib.compare expected got <> 0 then
-            Alcotest.failf "%s: steady output diverged from round-robin" name;
-          (* any graph the algebra solved must never have produced a
-             worse blocked count than a solved steady run can: zero *)
-          if m.Metrics.sched_steady > 0 && m.Metrics.sched_fallbacks = 0 then
-            check_int (name ^ " steady blocked") 0 m.Metrics.sched_blocked_steps)
-        [ Substitute.Bytecode_only; Substitute.Prefer_accelerators ])
+        (fun (pname, policy) ->
+          let got, m = run_with w ~size ~policy in
+          let ctx = Printf.sprintf "%s / %s" name pname in
+          Test_differential.check_identical ~ctx expected got;
+          check_bool (ctx ^ ": scheduled") true (m.Metrics.sched_runs > 0);
+          check_int (ctx ^ ": blocked steps") 0 m.Metrics.sched_blocked_steps)
+        [
+          "bytecode", Substitute.Bytecode_only;
+          "accel", Substitute.Prefer_accelerators;
+        ])
     test_sizes
 
-(* The headline regression: on a >= 4-stage pipeline the steady
-   schedule must cut blocked steps by at least half (in practice to
-   zero). Pins the ISSUE acceptance criterion. *)
-let test_steady_cuts_blocked_steps () =
-  let w = Workloads.find "dsp_chain" in
-  let size = 512 in
-  let policy = Substitute.Prefer_accelerators in
-  let rr, m_rr = run_with w ~size ~policy ~schedule:Scheduler.Round_robin in
-  let st, m_st = run_with w ~size ~policy ~schedule:Scheduler.Steady_state in
-  check_bool "outputs identical" true (Stdlib.compare rr st = 0);
-  check_int "steady actually ran" 1 m_st.Metrics.sched_steady;
-  check_int "no fallback" 0 m_st.Metrics.sched_fallbacks;
-  check_bool "round-robin blocks" true (m_rr.Metrics.sched_blocked_steps > 0);
-  check_bool
-    (Printf.sprintf "blocked halved (rr=%d steady=%d)"
-       m_rr.Metrics.sched_blocked_steps m_st.Metrics.sched_blocked_steps)
-    true
-    (2 * m_st.Metrics.sched_blocked_steps <= m_rr.Metrics.sched_blocked_steps)
-
-(* Fault-injection runs keep the dynamic scheduler: a steady engine
-   under an installed fault schedule must fall back, not wedge. *)
-let test_steady_falls_back_under_faults () =
+(* A fault re-runs or re-substitutes a device segment inside its
+   actor's firing, so a faulted run keeps the budgets, rounds and steps
+   of a healthy one and still matches the interpreter. *)
+let test_faulted_run_keeps_budgets () =
   let w = Workloads.find "dsp_chain" in
   let size = 64 in
-  (match Support.Fault.parse_spec "gpu:*:n=1" with
+  let policy = Substitute.Prefer_accelerators in
+  let _, healthy = run_with w ~size ~policy in
+  (match Support.Fault.parse_spec "gpu:*:always" with
   | Ok s -> Support.Fault.install s
   | Error e -> Alcotest.failf "bad spec: %s" e);
-  Fun.protect
-    ~finally:(fun () -> Support.Fault.clear ())
-    (fun () ->
-      let got, m =
-        run_with w ~size ~policy:Substitute.Prefer_accelerators
-          ~schedule:Scheduler.Steady_state
-      in
-      Support.Fault.clear ();
-      let expected, _ =
-        run_with w ~size ~policy:Substitute.Bytecode_only
-          ~schedule:Scheduler.Round_robin
-      in
-      check_bool "output still correct" true
-        (Stdlib.compare expected got = 0);
-      check_bool "fell back to round-robin" true
-        (m.Metrics.sched_fallbacks > 0 && m.Metrics.sched_steady = 0))
+  let got, m =
+    Fun.protect
+      ~finally:(fun () -> Support.Fault.clear ())
+      (fun () -> run_with w ~size ~policy)
+  in
+  check_bool "faults observed" true (m.Metrics.device_faults > 0);
+  check_bool "re-substituted" true (m.Metrics.resubstitutions > 0);
+  Test_differential.check_identical ~ctx:"faulted dsp_chain"
+    (Test_differential.reference w ~size)
+    got;
+  check_int "same rounds" healthy.Metrics.sched_rounds m.Metrics.sched_rounds;
+  check_int "same steps" healthy.Metrics.sched_steps m.Metrics.sched_steps;
+  check_int "no blocked steps" 0 m.Metrics.sched_blocked_steps
 
 let suite =
   ( "sched",
@@ -375,14 +371,12 @@ let suite =
         test_steady_sweep_runs_pipeline;
       Alcotest.test_case "steady deadlock detected" `Quick
         test_steady_deadlock_detected;
-      Alcotest.test_case "one sched instant per counted step" `Quick
-        test_sched_instants_match_steps;
+      Alcotest.test_case "sched instants account for every step" `Quick
+        test_sched_instants_account_for_steps;
       Alcotest.test_case "fifo capacity validated" `Quick
         test_fifo_capacity_validated;
-      Alcotest.test_case "steady matches round-robin (all workloads)" `Quick
-        test_steady_matches_roundrobin;
-      Alcotest.test_case "steady cuts blocked steps on dsp_chain" `Quick
-        test_steady_cuts_blocked_steps;
-      Alcotest.test_case "steady falls back under faults" `Quick
-        test_steady_falls_back_under_faults;
+      Alcotest.test_case "zero blocked steps on every workload" `Quick
+        test_zero_blocked_steps;
+      Alcotest.test_case "faulted run keeps its budgets" `Quick
+        test_faulted_run_keeps_budgets;
     ] )
