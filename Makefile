@@ -136,6 +136,9 @@ bench-e2e-compare: build
 # builds both, runs each PAIRS times, alternating and swapping which
 # side goes first in every pair so a slow phase of the machine falls on
 # both, writes OUT/a/*.json and OUT/b/*.json, and ends with `compare`.
+# Then, for each end_to_end metric of BENCHMARK.json, it prints every
+# pair's values, A -> B in pair order, and how many pairs B won (ties
+# count for neither); the exit status is compare's.
 PAIRS ?= 10
 SEED ?= 1
 
@@ -155,7 +158,24 @@ bench-e2e-ab: build
 	      --seed $(SEED) --json $$out/$$side/$(W).$(SEED).$$i.json > /dev/null) || exit 1; \
 	  done; \
 	done
-	dune exec --display=quiet bench/e2e/e2e.exe -- compare $(OUT)/a/*.json -- $(OUT)/b/*.json
+	@status=0; \
+	dune exec --display=quiet bench/e2e/e2e.exe -- compare $(OUT)/a/*.json -- $(OUT)/b/*.json || status=$$?; \
+	out=$$(cd $(OUT) && pwd); \
+	files=$$(for side in a b; do for i in $$(seq 1 $(PAIRS)); do \
+	  echo $$out/$$side/$(W).$(SEED).$$i.json; done; done); \
+	echo "== pairs (A -> B)"; \
+	for m in $$(jq -r '.end_to_end[] | "\(.name):\(.better)"' BENCHMARK.json); do \
+	  jq -r --arg m $${m%%:*} '.metrics[$$m].value' $$files | \
+	  awk -v m=$${m%%:*} -v better=$${m#*:} -v n=$(PAIRS) ' \
+	    { v[NR] = $$1 + 0 } \
+	    END { won = 0; line = ""; \
+	      for (i = 1; i <= n; i++) { \
+	        a = v[i]; b = v[i + n]; \
+	        line = line sprintf("%s%.4g -> %.4g", (i > 1) ? ", " : "", a, b); \
+	        if ((better == "higher" && b > a) || (better == "lower" && b < a)) won++ } \
+	      printf "%s (%s is better): %s; B won %d of %d\n", m, better, line, won, n }'; \
+	done; \
+	exit $$status
 
 clean:
 	dune clean
