@@ -182,9 +182,9 @@ let fig3_marshaling () =
     [ 1_024; 16_384; 262_144; 1_048_576 ];
   print_string (Table.render t);
   Printf.printf
-    "\nshape check: costs grow linearly in bytes; serialize/deserialize\n\
-     dominate the small end, bandwidth the large end (as in the paper's\n\
-     discussion of avoiding copies by pinning memory).\n";
+    "\nshape check: costs grow linearly in bytes; the crossing's fixed\n\
+     latency dominates the small end, serialize/deserialize the large end\n\
+     (the copies the paper says pinning memory pages would avoid).\n";
   let rng = Workloads.Rng.create () in
   let xs = V.Float_array (Workloads.Rng.float_array rng 65_536 ~lo:0.0 ~hi:1.0) in
   let ty = Wire.Codec.W_array Wire.Codec.W_float in
