@@ -2,7 +2,7 @@
 
 QCHECK_SEED ?= 20260805
 
-.PHONY: all build test lint baseline lint-baseline check bench bench-sched bench-placement bench-obs bench-lower bench-fuse bench-serve bench-e2e bench-e2e-compare bench-e2e-ab clean
+.PHONY: all build test lint baseline lint-baseline check bench bench-sched bench-placement bench-obs bench-lower bench-fuse bench-serve bench-e2e bench-e2e-compare bench-e2e-ab bench-e2e-counts clean
 
 all: build
 
@@ -176,6 +176,43 @@ bench-e2e-ab: build
 	      printf "%s (%s is better): %s; B won %d of %d\n", m, better, line, won, n }'; \
 	done; \
 	exit $$status
+
+# The exact per-layer numbers of two checkouts of the repository:
+# `make bench-e2e-counts A=dir B=dir W=workload OUT=dir [SEED=1]`
+# builds both, makes one traced run (`--trace 1`) of each into
+# OUT/a/W.SEED.json and OUT/b/W.SEED.json, and lists every metric on
+# the count, modeled or virtual clock whose two values differ by more
+# than a relative 1e-9. It exits 1 if any do (needs jq). `compare`
+# judges only the end-to-end metrics; this is the check that a host
+# optimisation moved no count.
+bench-e2e-counts: build
+	@test -n "$(A)" && test -n "$(B)" && test -n "$(W)" && test -n "$(OUT)" || \
+	  { echo "usage: make bench-e2e-counts A=dir B=dir W=workload OUT=dir [SEED=1]"; exit 2; }
+	dune build --root $(A) ./bench/e2e/e2e.exe
+	dune build --root $(B) ./bench/e2e/e2e.exe
+	@mkdir -p $(OUT)/a $(OUT)/b
+	@out=$$(cd $(OUT) && pwd); \
+	for side in a b; do \
+	  if [ $$side = a ]; then dir=$(A); else dir=$(B); fi; \
+	  echo "== traced run: $$side ($$dir)"; \
+	  (cd $$dir && ./_build/default/bench/e2e/e2e.exe --workload $(W) --seed $(SEED) \
+	    --trace 1 --json $$out/$$side/$(W).$(SEED).json > /dev/null) || exit 1; \
+	done; \
+	diffs=$$(jq -n -r --slurpfile a $$out/a/$(W).$(SEED).json \
+	    --slurpfile b $$out/b/$(W).$(SEED).json ' \
+	  ($$a[0].metrics) as $$ma | ($$b[0].metrics) as $$mb \
+	  | ($$ma + $$mb) | to_entries[] \
+	  | select(.value.clock == "count" or .value.clock == "modeled" or .value.clock == "virtual") \
+	  | .key as $$k | ($$ma[$$k].value) as $$x | ($$mb[$$k].value) as $$y \
+	  | select($$x == null or $$y == null \
+	      or (($$x - $$y) | fabs) > 1e-9 * ([($$x | fabs), ($$y | fabs)] | max)) \
+	  | "\($$k) (\(.value.clock)): \($$x) -> \($$y)"') || exit 2; \
+	n=$$(jq -n -r --slurpfile a $$out/a/$(W).$(SEED).json '$$a[0].metrics | to_entries \
+	  | map(select(.value.clock == "count" or .value.clock == "modeled" or .value.clock == "virtual")) \
+	  | length'); \
+	if [ -n "$$diffs" ]; then \
+	  echo "$$diffs"; echo "$(W): $$(echo "$$diffs" | wc -l) of $$n exact metric(s) differ"; exit 1; \
+	else echo "$(W): all $$n exact metric(s) identical"; fi
 
 clean:
 	dune clean

@@ -163,6 +163,9 @@ and compile_instr e (i : Ir.instr) =
 
 let no_proofs : Ir.instr -> bool = fun _ -> false
 
+(* [proven] marks array accesses (by physical instruction identity)
+   that were statically proven in bounds; they compile to the
+   unchecked [ALOAD_U]/[ASTORE_U] opcodes. *)
 let compile_function ?(proven = no_proofs) (f : Ir.func) : code =
   let e = { buf = Vec.create (); proven } in
   compile_block e f.Ir.fn_body;

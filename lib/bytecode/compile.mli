@@ -20,11 +20,6 @@ type unit_ = {
   u_program : Ir.program;  (** class/enum/template metadata *)
 }
 
-val compile_function : ?proven:(Ir.instr -> bool) -> Ir.func -> code
-(** [proven] marks array accesses (by physical instruction identity)
-    that were statically proven in bounds; they compile to the
-    unchecked [ALOAD_U]/[ASTORE_U] opcodes. Default: none. *)
-
 val compile_program :
   ?proven:(string -> Ir.instr -> bool) -> Ir.program -> unit_
 (** [compile_program ?proven p] compiles every function; [proven key]

@@ -64,8 +64,9 @@ let no_frame = { ints = [||]; floats = [||]; boxed = [||] }
    operand stack has static types before each instruction, top first
    ([None] where unreachable; index [n] is falling off the end). A
    class's array holds its locals, then its typed constants, which a
-   frame gets when it is made, then one home per stack depth. So every
-   typed operand is a slot. *)
+   frame gets when it is made, then one home per stack depth, then,
+   for an int, boolean or float function, the slot its result returns
+   in. So every typed operand is a slot. *)
 type layout = {
   local_ty : ty array;
   local_at : int array;  (** each local's index in its class's array *)
@@ -75,21 +76,28 @@ type layout = {
   float_consts : (int * float) list;
   base : int array;  (** per class: where its stack homes start *)
   size : int array;  (** per class: the length of its array *)
+  ret_at : int;  (** the typed return slot, in the return type's class *)
 }
 
 (* A bytecode function. The body starts as a stub that specialises the
-   code into closures on the first call and replaces itself. *)
+   code into closures on the first call and replaces itself. A body
+   that leaves its result in the typed return slot answers
+   [typed_ret]. *)
 type fn = {
   code : Compile.code;
   layout : layout;
   params : (frame -> v -> unit) array;  (** binds a host argument *)
   mutable body : state -> frame -> v;
   mutable spare : frame;  (** a frame no activation holds, or [no_frame] *)
+  stored : bool array Lazy.t;
+      (** per parameter, whether the body stores to it; the launch
+          entry, worked out on a launch's first use of the function *)
 }
 
 and callee =
   | Fn of fn
-  | Intrinsic of (V.t list -> V.t) * int  (** the operation, and its charge *)
+  | Intrinsic of (V.t list -> V.t) * Lime_ir.Intrinsics.typed option * int
+      (** the operation boxed and on unboxed floats, and its charge *)
   | Missing of string
 
 (* A device program charges its weights instead of instruction counts
@@ -429,6 +437,33 @@ let astore checked (a : operand) (idx : operand) (x : operand) (k : code) : code
       set (prim (a fr)) i x;
       k st fr
 
+(* The slots of a [Math] intrinsic's operands, when each is a float
+   slot and there are as many as it takes. *)
+let float_slots (op : Lime_ir.Intrinsics.typed) (args : operand list) =
+  match op, args with
+  | Lime_ir.Intrinsics.Unary _, [ { ty = Some Ir.F32; loc = Slot i } ] -> Some [ i ]
+  | ( Lime_ir.Intrinsics.Binary _,
+      [ { ty = Some Ir.F32; loc = Slot i }; { ty = Some Ir.F32; loc = Slot j } ] ) ->
+    Some [ i; j ]
+  | _ -> None
+
+(* A [Math] intrinsic on float slots into slot [d], charging [charge]. *)
+let intrinsic_call (op : Lime_ir.Intrinsics.typed) charge slots d (k : code) : code =
+  match op, slots with
+  | Lime_ir.Intrinsics.Unary f, [ i ] ->
+    fun st fr ->
+      st.executed <- st.executed + charge;
+      let r = fr.floats in
+      r.(d) <- f r.(i);
+      k st fr
+  | Lime_ir.Intrinsics.Binary f, [ i; j ] ->
+    fun st fr ->
+      st.executed <- st.executed + charge;
+      let r = fr.floats in
+      r.(d) <- f r.(i) r.(j);
+      k st fr
+  | _ -> invalid_arg "Vm.intrinsic_call"
+
 (* --- static types -------------------------------------------------------- *)
 
 (* Operands an instruction pops, and values it pushes. *)
@@ -614,6 +649,14 @@ let layout u (c : Compile.code) =
              size.(k) <- max size.(k) (count.(k) + depth - j))
            s))
     stacks;
+  let ret_at =
+    match cls_of (Some c.c_ret) with
+    | Boxed -> -1
+    | cls ->
+      let k = cls_index cls in
+      size.(k) <- size.(k) + 1;
+      size.(k) - 1
+  in
   {
     local_ty;
     local_at;
@@ -623,6 +666,7 @@ let layout u (c : Compile.code) =
     float_consts = !float_consts;
     base = count;
     size;
+    ret_at;
   }
 
 (* --- device programs -------------------------------------------------------- *)
@@ -649,21 +693,22 @@ let device_trap (i : Insn.t) : code =
    hook). A normal return clears the boxed slots, so a spare frame
    keeps no value alive, and gives the frame back; an exception drops
    it. *)
+let new_frame (f : fn) =
+  let l = f.layout in
+  let fr =
+    {
+      ints = Array.make l.size.(0) 0;
+      floats = Array.make l.size.(1) 0.0;
+      boxed = Array.make l.size.(2) unit_v;
+    }
+  in
+  List.iter (fun (at, x) -> fr.ints.(at) <- x) l.int_consts;
+  List.iter (fun (at, x) -> fr.floats.(at) <- x) l.float_consts;
+  fr
+
 let take (f : fn) =
   let fr = f.spare in
-  if fr == no_frame then begin
-    let l = f.layout in
-    let fr =
-      {
-        ints = Array.make l.size.(0) 0;
-        floats = Array.make l.size.(1) 0.0;
-        boxed = Array.make l.size.(2) unit_v;
-      }
-    in
-    List.iter (fun (at, x) -> fr.ints.(at) <- x) l.int_consts;
-    List.iter (fun (at, x) -> fr.floats.(at) <- x) l.float_consts;
-    fr
-  end
+  if fr == no_frame then new_frame f
   else begin
     f.spare <- no_frame;
     fr
@@ -674,30 +719,10 @@ let release (f : fn) fr =
   if Array.length b > 0 then Array.fill b 0 (Array.length b) unit_v;
   f.spare <- fr
 
-(* Bind a host call's arguments, from the [j]th on. *)
-let rec bind_params (f : fn) fr j = function
-  | [] -> ()
-  | a :: rest ->
-    f.params.(j) fr a;
-    bind_params f fr (j + 1) rest
-
-(* Bind argument [j] of a call to [g] from the caller's operand. *)
-let bind_arg (g : fn) j (a : operand) : frame -> frame -> unit =
-  let t = g.layout.local_ty.(j) and at = g.layout.local_at.(j) in
-  match cls_of t, a.loc with
-  | Ints, Slot i when a.ty = t -> fun fr callee -> callee.ints.(at) <- fr.ints.(i)
-  | Floats, Slot i when a.ty = t ->
-    fun fr callee -> callee.floats.(at) <- fr.floats.(i)
-  | _ ->
-    let x = read_boxed a and set = store_v t at in
-    fun fr callee -> set callee (x fr)
-
-(* Look [key] up once per program. Intrinsics win over functions, as
-   they always have; a missing function traps only when called. *)
 (* Pair a template's nodes with the operands of one start: the source
    array and rate, each filter's receiver (an instance filter takes
    one, a static filter none) and the sink array. The runtime's graph
-   hook and [run_graph_seq] both run what this returns. *)
+   hook and the VM's own inline run both run what this returns. *)
 let bind_graph (template : Ir.graph_template) (ops : v list) : graph =
   let take k ops =
     let rec go k acc = function
@@ -733,6 +758,178 @@ let bind_graph (template : Ir.graph_template) (ops : v list) : graph =
     }
   | _ -> fail "malformed graph template"
 
+(* What a body answers when it left its result in its function's typed
+   return slot ([layout.ret_at]): a block that is nothing else. *)
+let typed_ret : v = I.Obj { I.obj_class = "(typed return)"; obj_fields = [||] }
+
+(* What [f]'s body answered in frame [fr], as a value: the typed return
+   slot boxed, or the boxed result. Only the host and hooks box a
+   typed result. *)
+let value_of (f : fn) fr (v : v) : V.t =
+  if v != typed_ret then prim v
+  else
+    let r = f.layout.ret_at in
+    match f.code.c_ret with
+    | Ir.F32 -> V.Float fr.floats.(r)
+    | t -> box_int t fr.ints.(r)
+
+let result_of (f : fn) fr (v : v) : v = if v != typed_ret then v else I.Prim (value_of f fr v)
+
+(* Bind a host call's arguments, from the [j]th on. *)
+let rec bind_params (f : fn) fr j = function
+  | [] -> ()
+  | a :: rest ->
+    f.params.(j) fr a;
+    bind_params f fr (j + 1) rest
+
+(* Bind argument [j] of a call to [g] from the caller's operand. *)
+let bind_arg (g : fn) j (a : operand) : frame -> frame -> unit =
+  let t = g.layout.local_ty.(j) and at = g.layout.local_at.(j) in
+  match cls_of t, a.loc with
+  | Ints, Slot i when a.ty = t -> fun fr callee -> callee.ints.(at) <- fr.ints.(i)
+  | Floats, Slot i when a.ty = t ->
+    fun fr callee -> callee.floats.(at) <- fr.floats.(i)
+  | _ ->
+    let x = read_boxed a and set = store_v t at in
+    fun fr callee -> set callee (x fr)
+
+(* --- launches ---------------------------------------------------------------
+
+   A launch applies functions to a stream of elements on frames of its
+   own and one run state. It runs stages: a map or a fold is one, a
+   chain of filters one per filter. Each parameter of a stage has a
+   source: a value bound once, before element 0 (a receiver, a scalar,
+   an unmapped array), element i of an array, or the flow: what the
+   stage before answered, the previous stage of a chain or, for a lone
+   stage, itself on the element before, which makes a fold. Each
+   element binds its array elements and its flow, and again any
+   parameter the body stores to. Element i of a flat array goes
+   straight into its typed slot, and a typed result flows from the
+   return slot straight into the next parameter or a flat result array.
+   [on_elem] hears each element's count once the element completes, so
+   a trap at element k leaves exactly elements 0 to k-1 reported.
+
+   A launch from outside ([fresh]) starts every element on a fresh run
+   state, as a call does; a site or graph the VM runs itself counts
+   into its own run. A callee that is not a function of the stage's
+   arity (an intrinsic, a missing function) is called boxed, element by
+   element, and traps where such a call always trapped. *)
+
+let[@inline] restart st =
+  st.executed <- 0;
+  st.graph_counter <- 0;
+  st.pending <- []
+
+(* Bind parameter [j] of [f] in [fr] to element i of the array [a]. *)
+let elem_binder (f : fn) fr j (a : V.t) : int -> v -> unit =
+  let at = f.layout.local_at.(j) in
+  match f.layout.local_ty.(j), a with
+  | Some Ir.I32, V.Int_array xs -> fun i _ -> fr.ints.(at) <- xs.(i)
+  | Some Ir.Bool, V.Bool_array xs -> fun i _ -> fr.ints.(at) <- Bool.to_int xs.(i)
+  | Some Ir.F32, V.Float_array xs -> fun i _ -> fr.floats.(at) <- xs.(i)
+  | _ ->
+    let set = f.params.(j) in
+    fun i _ -> set fr (I.Prim (I.array_get a i))
+
+(* Bind parameter [j] of [f] in [fr] to what [g]'s body answered in
+   [src]: a typed result slot to slot. *)
+let bind_result (g : fn) src (v : v) (f : fn) fr j =
+  let at = f.layout.local_at.(j) and r = g.layout.ret_at in
+  match v == typed_ret, g.code.c_ret, f.layout.local_ty.(j) with
+  | true, Ir.I32, Some Ir.I32 | true, Ir.Bool, Some Ir.Bool -> fr.ints.(at) <- src.ints.(r)
+  | true, Ir.F32, Some Ir.F32 -> fr.floats.(at) <- src.floats.(r)
+  | _ -> f.params.(j) fr (result_of g src v)
+
+type source = Whole of v | Each of V.t | Flow
+
+type stage = {
+  s_callee : callee;
+  s_fn : fn option;  (** [s_callee], when a function of the stage's arity *)
+  s_fr : frame;
+  s_sources : source array;
+  mutable s_each : (int -> v -> unit) array;
+      (** what element i binds, given the flow into the stage *)
+}
+
+let stage (c : callee) (sources : source list) =
+  let s_sources = Array.of_list sources in
+  match c with
+  | Fn f when f.code.c_params = Array.length s_sources ->
+    { s_callee = c; s_fn = Some f; s_fr = new_frame f; s_sources; s_each = [||] }
+  | _ -> { s_callee = c; s_fn = None; s_fr = no_frame; s_sources; s_each = [||] }
+
+(* A filter's stage: its receiver, for an instance filter, then the
+   element from [elem]. *)
+let filter_stage (c, receiver) elem =
+  stage c (match receiver with Some r -> [ Whole r; elem ] | None -> [ elem ])
+
+(* What stage [s] answered, as a value, and boxed. *)
+let value_out (s : stage) (v : v) : V.t =
+  match s.s_fn with Some f -> value_of f s.s_fr v | None -> prim v
+
+let flow_out (s : stage) (v : v) : v =
+  match s.s_fn with Some f -> result_of f s.s_fr v | None -> v
+
+(* Bind the launch's whole values once, and give every stage its
+   element binders. The flow into stage k comes from stage k-1, into
+   stage 0 from the last one. *)
+let bind_stages (stages : stage array) =
+  let n = Array.length stages in
+  Array.iteri
+    (fun k s ->
+      match s.s_fn with
+      | None -> ()
+      | Some f ->
+        let prev = stages.((k + n - 1) mod n) and fr = s.s_fr in
+        let stored = Lazy.force f.stored in
+        let bind j = function
+          | Whole x ->
+            f.params.(j) fr x;
+            if stored.(j) then Some (fun _ _ -> f.params.(j) fr x) else None
+          | Each a -> Some (elem_binder f fr j a)
+          | Flow -> (
+            match prev.s_fn with
+            | Some g -> Some (fun _ v -> bind_result g prev.s_fr v f fr j)
+            | None -> Some (fun _ v -> f.params.(j) fr v))
+        in
+        s.s_each <- Array.of_list (List.filter_map Fun.id (Array.to_list (Array.mapi bind s.s_sources))))
+    stages
+
+(* Write element k of [out], an array of at least [len] elements, from
+   what the last stage answered. *)
+let writer (stages : stage array) (out : V.t) ~len : int -> v -> unit =
+  let last = stages.(Array.length stages - 1) in
+  let boxed k v = I.array_set out k (value_out last v) in
+  match last.s_fn, out with
+  | Some f, V.Int_array o when f.code.c_ret = Ir.I32 && Array.length o >= len ->
+    let r = f.layout.ret_at and fr = last.s_fr in
+    fun k v -> if v == typed_ret then o.(k) <- fr.ints.(r) else boxed k v
+  | Some f, V.Bool_array o when f.code.c_ret = Ir.Bool && Array.length o >= len ->
+    let r = f.layout.ret_at and fr = last.s_fr in
+    fun k v -> if v == typed_ret then o.(k) <- fr.ints.(r) <> 0 else boxed k v
+  | Some f, V.Float_array o when f.code.c_ret = Ir.F32 && Array.length o >= len ->
+    let r = f.layout.ret_at and fr = last.s_fr in
+    fun k v -> if v == typed_ret then o.(k) <- fr.floats.(r) else boxed k v
+  | _ -> boxed
+
+(* A launch's fresh result array as a value: a flat one already is. *)
+let frozen (out : V.t) =
+  match out with V.Int_array _ | V.Float_array _ | V.Bool_array _ -> out | _ -> I.freeze out
+
+(* The length of a map site's mapped arguments, which must agree. *)
+let mapped_length (args : (v * bool) list) =
+  match
+    List.filter_map
+      (fun (a, mapped) -> if mapped then Some (I.array_length (prim a)) else None)
+      args
+  with
+  | [] -> fail "map needs at least one array argument"
+  | n :: rest ->
+    if List.exists (fun m -> m <> n) rest then fail "mapped arrays have different lengths";
+    n
+
+(* Look [key] up once per program. Intrinsics win over functions, as
+   they always have; a missing function traps only when called. *)
 let rec resolve p key : callee =
   match Hashtbl.find_opt p.fns key with
   | Some c -> c
@@ -740,7 +937,8 @@ let rec resolve p key : callee =
     let c =
       if Lime_ir.Intrinsics.is_intrinsic key then
         let charge = match p.device with None -> 1 | Some (w, _) -> w.intrinsic key in
-        Intrinsic (Lime_ir.Intrinsics.resolve key, charge)
+        Intrinsic
+          (Lime_ir.Intrinsics.resolve key, Lime_ir.Intrinsics.typed key, charge)
       else
         match Ir.String_map.find_opt key p.unit_.Compile.u_funcs with
         | None -> Missing key
@@ -755,6 +953,15 @@ let rec resolve p key : callee =
                     store_v l.local_ty.(j) l.local_at.(j));
               body = (fun _ _ -> unit_v);
               spare = no_frame;
+              stored =
+                lazy
+                  (let s = Array.make code.c_params false in
+                   Array.iter
+                     (function
+                       | Insn.STORE j when j < code.c_params -> s.(j) <- true
+                       | _ -> ())
+                     code.c_insns;
+                   s);
             }
           in
           f.body <-
@@ -768,12 +975,12 @@ let rec resolve p key : callee =
     c
 
 (* Call [c] on a list of arguments, with the arity check a call has
-   always made: a run, an inline map or reduce, a graph filter, and a
-   call instruction to anything but a function of its arity. A device
-   program traps with the device's text. *)
+   always made: a run, a boxed launch element, and a call instruction
+   to anything but a function of its arity. A device program traps
+   with the device's text. *)
 and invoke st (c : callee) (args : v list) : v =
   match c with
-  | Intrinsic (apply, charge) -> (
+  | Intrinsic (apply, _, charge) -> (
     (* one dispatch charge for the intrinsic call, or its device cycles *)
     st.executed <- st.executed + charge;
     match apply (List.map prim args) with
@@ -790,49 +997,90 @@ and invoke st (c : callee) (args : v list) : v =
       else fail "%s expects %d argument(s), got %d" k params n;
     let fr = take f in
     bind_params f fr 0 args;
-    let v = f.body st fr in
+    let v = result_of f fr (f.body st fr) in
     release f fr;
     v
 
-(* Inline map: each element application is a real VM call, so the
-   instruction count reflects interpretation. *)
-and eval_map st callee (desc : Insn.map_desc) (args : v list) : v =
-  let pairs = List.combine args desc.bm_flags in
-  let lengths =
-    List.filter_map
-      (fun (a, mapped) ->
-        if mapped then Some (I.array_length (prim a)) else None)
-      pairs
-  in
-  let n =
-    match lengths with
-    | [] -> fail "map needs at least one array argument"
-    | n :: rest ->
-      if List.exists (fun m -> m <> n) rest then
-        fail "mapped arrays have different lengths";
-      n
-  in
-  let result = I.new_array desc.bm_elem_ty n in
-  for i = 0 to n - 1 do
-    let call_args =
-      List.map
-        (fun (a, mapped) ->
-          if mapped then I.Prim (I.array_get (prim a) i) else a)
-        pairs
+(* Element [i] through stages [k] on, [v] flowing into stage [k];
+   answers what the last stage answered. *)
+and run_stages st (stages : stage array) i k (v : v) : v =
+  if k = Array.length stages then v
+  else
+    let s = stages.(k) in
+    let v =
+      match s.s_fn with
+      | Some f ->
+        let each = s.s_each in
+        for j = 0 to Array.length each - 1 do
+          each.(j) i v
+        done;
+        f.body st s.s_fr
+      | None ->
+        let prev = stages.((k + Array.length stages - 1) mod Array.length stages) in
+        let arg = function
+          | Whole x -> x
+          | Each a -> I.Prim (I.array_get a i)
+          | Flow -> flow_out prev v
+        in
+        invoke st s.s_callee (List.map arg (Array.to_list s.s_sources))
     in
-    I.array_set result i (prim (invoke st callee call_args))
-  done;
-  I.Prim (I.freeze result)
+    run_stages st stages i (k + 1) v
 
-and eval_reduce st callee (arg : v) : v =
-  let p = prim arg in
-  let n = I.array_length p in
-  if n = 0 then fail "reduce of an empty array";
-  let acc = ref (I.Prim (I.array_get p 0)) in
-  for i = 1 to n - 1 do
-    acc := invoke st callee [ !acc; I.Prim (I.array_get p i) ]
+(* Elements [first] to [first + len - 1] through [stages], [v] flowing
+   into the first; [write k] takes element [first + k]'s answer.
+   Answers the last element's. *)
+and run_launch st ~fresh stages ~first ~len on_elem write (v : v) : v =
+  bind_stages stages;
+  let v = ref v in
+  for k = 0 to len - 1 do
+    if fresh then restart st;
+    let before = st.executed in
+    v := run_stages st stages (first + k) 0 !v;
+    on_elem (st.executed - before);
+    write k !v
   done;
-  !acc
+  !v
+
+(* [c] over elements [off] to [off + len - 1] of the mapped arguments
+   (flag [true]), the others passed whole, into a fresh array of
+   [elem]. *)
+and launch_map st ~fresh c elem (args : (v * bool) list) ~off ~len on_elem : V.t =
+  let out = I.new_array elem len in
+  if len > 0 then begin
+    let sources = List.map (fun (a, mapped) -> if mapped then Each (prim a) else Whole a) args in
+    let stages = [| stage c sources |] in
+    ignore (run_launch st ~fresh stages ~first:off ~len on_elem (writer stages out ~len) unit_v)
+  end;
+  frozen out
+
+(* The left fold of [c] over elements [off] to [off + len - 1] of [a],
+   [len] at least 1: the accumulator is the stage's own flow. *)
+and launch_fold st ~fresh c (a : V.t) ~off ~len on_elem : v =
+  let first = I.Prim (I.array_get a off) in
+  if len = 1 then first
+  else
+    let stages = [| stage c [ Flow; Each a ] |] in
+    let v =
+      run_launch st ~fresh stages ~first:(off + 1) ~len:(len - 1) on_elem
+        (fun _ _ -> ()) first
+    in
+    flow_out stages.(0) v
+
+(* Every element of [input] through a chain of filters into [into]. *)
+and launch_chain st ~fresh filters on_elem (input : V.t) ~(into : V.t) =
+  let n = I.array_length input in
+  match filters with
+  | [] ->
+    for i = 0 to n - 1 do
+      I.array_set into i (I.array_get input i)
+    done
+  | _ when n = 0 -> ()
+  | _ ->
+    let stages =
+      Array.of_list
+        (List.mapi (fun k f -> filter_stage f (if k = 0 then Each input else Flow)) filters)
+    in
+    ignore (run_launch st ~fresh stages ~first:0 ~len:n on_elem (writer stages into ~len:n) unit_v)
 
 and run_graph st h ~blocking =
   match List.assoc_opt h st.pending with
@@ -844,25 +1092,19 @@ and run_graph st h ~blocking =
       | Some hook -> hook template ops ~blocking
       | None -> false
     in
-    if not handled then run_graph_seq st (bind_graph template ops)
-
-(* Default graph execution on the VM: every filter application is a
-   bytecode call (the all-bytecode configuration of section 4.1). *)
-and run_graph_seq st (g : graph) : unit =
-  let apply ((f : Ir.filter_info), receiver) x =
-    let key =
-      match f.Ir.target with
-      | Ir.F_static key -> key
-      | Ir.F_instance (cls, m) -> cls ^ "." ^ m
-    in
-    let args = match receiver with None -> [ x ] | Some r -> [ r; x ] in
-    invoke st (resolve st.prog key) args
-  in
-  for i = 0 to I.array_length g.g_source - 1 do
-    let x = ref (I.Prim (I.array_get g.g_source i)) in
-    List.iter (fun pair -> x := apply pair !x) g.g_filters;
-    I.array_set g.g_sink i (prim !x)
-  done
+    (* unhandled, every filter applies inline on the VM (the
+       all-bytecode configuration of section 4.1) *)
+    if not handled then
+      let g = bind_graph template ops in
+      let filter ((f : Ir.filter_info), receiver) =
+        ( resolve st.prog
+            (match f.Ir.target with
+            | Ir.F_static key -> key
+            | Ir.F_instance (cls, m) -> cls ^ "." ^ m),
+          receiver )
+      in
+      launch_chain st ~fresh:false (List.map filter g.g_filters) ignore g.g_source
+        ~into:g.g_sink
 
 (* Specialise one function into closures, one chain per basic block.
 
@@ -1112,20 +1354,44 @@ and specialise p (f : fn) : code =
                        I.Obj { I.obj_class = cls; obj_fields }))))
         | Insn.CALL (key, argc) -> (
           let args = pops argc in
-          match resolve p key with
-          | Fn g when g.code.c_params = argc ->
+          let callee = resolve p key in
+          (* a float intrinsic on float operands runs unboxed *)
+          let typed =
+            match callee with
+            | Intrinsic (_, Some op, charge) when pushed pc = Some Ir.F32 ->
+              Option.map (fun slots -> op, charge, slots) (float_slots op args)
+            | _ -> None
+          in
+          match callee, typed with
+          | Fn g, _ when g.code.c_params = argc ->
             let bind = Array.of_list (List.mapi (bind_arg g) args) in
+            let r = g.layout.ret_at in
+            (* a typed result moves from the callee's return slot *)
             go
-              (produce pc (fun t d ->
-                   boxed_result t d (fun st fr ->
-                       let callee = take g in
-                       for j = 0 to argc - 1 do
-                         bind.(j) fr callee
-                       done;
-                       let v = g.body st callee in
-                       release g callee;
-                       v)))
-          | c ->
+              (produce pc (fun t d k ->
+                   let set = store_v t d in
+                   let move : (frame -> frame -> unit) option =
+                     match cls_of t with
+                     | Ints when t = Some g.code.c_ret ->
+                       Some (fun callee fr -> fr.ints.(d) <- callee.ints.(r))
+                     | Floats when t = Some g.code.c_ret ->
+                       Some (fun callee fr -> fr.floats.(d) <- callee.floats.(r))
+                     | _ -> None
+                   in
+                   fun st fr ->
+                     let callee = take g in
+                     for j = 0 to argc - 1 do
+                       bind.(j) fr callee
+                     done;
+                     let v = g.body st callee in
+                     (match move with
+                     | Some move when v == typed_ret -> move callee fr
+                     | _ -> set fr (result_of g callee v));
+                     release g callee;
+                     k st fr))
+          | _, Some (op, charge, slots) ->
+            go (produce pc (fun _ -> intrinsic_call op charge slots))
+          | c, None ->
             (* an intrinsic, or the trap of a missing function or a
                wrong argument count, as a call from the host *)
             let args = List.map read_boxed args in
@@ -1133,11 +1399,26 @@ and specialise p (f : fn) : code =
               (produce pc (fun t d ->
                    boxed_result t d (fun st fr ->
                        invoke st c (List.map (fun a -> a fr) args)))))
-        | Insn.RET ->
-          let x = read_boxed (pop ()) and k = !nins in
-          fun st fr ->
-            st.executed <- st.executed + k;
-            x fr
+        | Insn.RET -> (
+          (* an int, boolean or float result stays in the return slot *)
+          let x = pop () and k = !nins and r = l.ret_at in
+          let ret = Some c.c_ret in
+          match x.loc, cls_of ret with
+          | Slot i, Ints when x.ty = ret ->
+            fun st fr ->
+              st.executed <- st.executed + k;
+              fr.ints.(r) <- fr.ints.(i);
+              typed_ret
+          | Slot i, Floats when x.ty = ret ->
+            fun st fr ->
+              st.executed <- st.executed + k;
+              fr.floats.(r) <- fr.floats.(i);
+              typed_ret
+          | _ ->
+            let x = read_boxed x in
+            fun st fr ->
+              st.executed <- st.executed + k;
+              x fr)
         | Insn.RETVOID ->
           let k = !nins in
           fun st _ ->
@@ -1181,7 +1462,11 @@ and specialise p (f : fn) : code =
                      let args = List.map (fun a -> a fr) args in
                      match st.hooks.on_map desc args with
                      | Some r -> r
-                     | None -> eval_map st callee desc args)))
+                     | None ->
+                       let args = List.combine args desc.bm_flags in
+                       I.Prim
+                         (launch_map st ~fresh:false callee desc.bm_elem_ty args ~off:0
+                            ~len:(mapped_length args) ignore))))
         | Insn.REDUCE desc ->
           let a = read_boxed (pop ()) in
           let callee = resolve p desc.br_fn in
@@ -1191,7 +1476,11 @@ and specialise p (f : fn) : code =
                      let a = a fr in
                      match st.hooks.on_reduce desc a with
                      | Some r -> r
-                     | None -> eval_reduce st callee a)))
+                     | None ->
+                       let a = prim a in
+                       let n = I.array_length a in
+                       if n = 0 then fail "reduce of an empty array";
+                       launch_fold st ~fresh:false callee a ~off:0 ~len:n ignore)))
         | Insn.MKGRAPH (uid, argc) -> (
           match Ir.String_map.find_opt uid p.unit_.u_program.Ir.templates with
           | None -> fun _ _ -> fail "no task-graph template %s" uid
@@ -1235,13 +1524,35 @@ and specialise p (f : fn) : code =
       st.executed <- st.executed + k;
       body st fr
 
-type entry = { e_prog : program; e_callee : callee }
+(* A launch from outside runs with no hooks, as a host call does. *)
+let launch_state p = { prog = p; hooks = no_hooks; executed = 0; graph_counter = 0; pending = [] }
 
-let entry p key = { e_prog = p; e_callee = resolve p key }
-
-let call ?(hooks = no_hooks) e args =
-  let st = { prog = e.e_prog; hooks; executed = 0; graph_counter = 0; pending = [] } in
-  let value = invoke st e.e_callee args in
+let run ?(hooks = no_hooks) p key args =
+  let st = { (launch_state p) with hooks } in
+  let value = invoke st (resolve p key) args in
   { value; executed = st.executed }
 
-let run ?hooks p key args = call ?hooks (entry p key) args
+let map p key ~elem args ~off ~len on_elem =
+  launch_map (launch_state p) ~fresh:true (resolve p key) elem args ~off ~len on_elem
+
+let fold p key a ~off ~len on_elem =
+  prim (launch_fold (launch_state p) ~fresh:true (resolve p key) a ~off ~len on_elem)
+
+let filters_of p = List.map (fun (key, receiver) -> resolve p key, receiver)
+
+let apply_all p filters on_elem input ~into =
+  launch_chain (launch_state p) ~fresh:true (filters_of p filters) on_elem input ~into
+
+type chain = { ch_state : state; ch_stages : stage array }
+
+let chain p filters =
+  let stages = Array.of_list (List.map (fun f -> filter_stage f Flow) (filters_of p filters)) in
+  bind_stages stages;
+  { ch_state = launch_state p; ch_stages = stages }
+
+let apply ch on_elem (x : V.t) : V.t =
+  let st = ch.ch_state and stages = ch.ch_stages in
+  restart st;
+  let v = run_stages st stages 0 0 (I.Prim x) in
+  on_elem st.executed;
+  value_out stages.(Array.length stages - 1) v

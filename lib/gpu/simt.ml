@@ -61,26 +61,34 @@ let prepare unit_ =
   { vm = Vm.prepare_device weights lane unit_; lane }
 
 (* Per-item traces of one launch: cycles and branch signature per work
-   item, memory traffic summed. *)
+   item, memory traffic summed, and the next item's index. *)
 type trace = {
   tr_cycles : float array;
   tr_sigs : int array;
   mutable tr_mem_bytes : int;
+  mutable tr_next : int;
 }
 
-let new_trace n =
-  { tr_cycles = Array.make n 0.0; tr_sigs = Array.make n 0; tr_mem_bytes = 0 }
-
-let start_lane t =
+let reset_lane t =
   t.lane.mem_bytes <- 0;
   t.lane.branch_sig <- 0
 
-(* Record work item [i]: its cycles, its branch signature, and its
-   memory traffic plus the launch's [io_bytes] per item. *)
-let end_lane t tr i ~cycles ~io_bytes =
+(* A launch's trace, its lane reset for the first work item. *)
+let new_trace t n =
+  reset_lane t;
+  { tr_cycles = Array.make n 0.0; tr_sigs = Array.make n 0; tr_mem_bytes = 0; tr_next = 0 }
+
+(* The launch's per-element callback: record the work item that just
+   ran, with its cycles, its branch signature, and its memory traffic
+   plus the launch's [io_bytes] per item, then reset the lane for the
+   next one. *)
+let end_lane t tr ~io_bytes cycles =
+  let i = tr.tr_next in
   tr.tr_cycles.(i) <- float_of_int cycles;
   tr.tr_sigs.(i) <- t.lane.branch_sig;
-  tr.tr_mem_bytes <- tr.tr_mem_bytes + t.lane.mem_bytes + io_bytes
+  tr.tr_mem_bytes <- tr.tr_mem_bytes + t.lane.mem_bytes + io_bytes;
+  tr.tr_next <- i + 1;
+  reset_lane t
 
 (* Aggregate per-item traces into device timing. *)
 let aggregate ?(device = Device.gtx580) ~model_divergence (tr : trace) : timing
@@ -185,28 +193,19 @@ let run_map ?(device = Device.gtx580) ?(model_divergence = true) t
         fail "mapped arrays have different lengths";
       n
   in
-  let result = I.new_array site.map_elem_ty n in
-  let kernel = Vm.entry t.vm site.map_fn in
-  let args =
-    List.map (fun (a, mapped) -> if mapped then `Each a else `All (I.Prim a)) pairs
-  in
   (* input reads + output write *)
   let io_bytes =
     List.fold_left
       (fun acc (_, mapped) -> if mapped then acc + 4 else acc)
       (elem_bytes site.map_elem_ty) pairs
   in
-  let tr = new_trace n in
-  for i = 0 to n - 1 do
-    start_lane t;
-    let r =
-      Vm.call kernel
-        (List.map (function `Each a -> I.Prim (I.array_get a i) | `All v -> v) args)
-    in
-    end_lane t tr i ~cycles:r.executed ~io_bytes;
-    I.array_set result i (I.prim_exn r.value)
-  done;
-  I.freeze result, aggregate ~device ~model_divergence tr
+  let tr = new_trace t n in
+  let result =
+    Vm.map t.vm site.map_fn ~elem:site.map_elem_ty
+      (List.map (fun (a, mapped) -> I.Prim a, mapped) pairs)
+      ~off:0 ~len:n (end_lane t tr ~io_bytes)
+  in
+  result, aggregate ~device ~model_divergence tr
 
 let run_reduce ?(device = Device.gtx580) t (site : Ir.reduce_site) (arg : V.t)
     : V.t * timing =
@@ -218,13 +217,10 @@ let run_reduce ?(device = Device.gtx580) t (site : Ir.reduce_site) (arg : V.t)
   (* Values fold left (identical to the CPU), but the device timing is
      that of a tree: ~2n/lanes combiner applications worth of cycles
      plus log n synchronization stages. *)
-  let kernel = Vm.entry t.vm site.red_fn in
-  let cycles = ref 0 and acc = ref (I.Prim (I.array_get arg 0)) in
-  for i = 1 to n - 1 do
-    let r = Vm.call kernel [ !acc; I.Prim (I.array_get arg i) ] in
-    cycles := !cycles + r.executed;
-    acc := r.value
-  done;
+  let cycles = ref 0 in
+  let value =
+    Vm.fold t.vm site.red_fn arg ~off:0 ~len:n (fun c -> cycles := !cycles + c)
+  in
   let cycles = float_of_int !cycles in
   let per_apply = if n > 1 then cycles /. float_of_int (n - 1) else cycles in
   let lanes_total = float_of_int (Device.total_lanes device) in
@@ -245,7 +241,7 @@ let run_reduce ?(device = Device.gtx580) t (site : Ir.reduce_site) (arg : V.t)
       avg_divergence_groups = 1.0;
     }
   in
-  I.prim_exn !acc, timing
+  value, timing
 
 let run_filter_chain ?(device = Device.gtx580) ?uid t ~(chain : string list)
     ~(output_ty : Ir.ty) (input : V.t) : V.t * timing =
@@ -259,22 +255,9 @@ let run_filter_chain ?(device = Device.gtx580) ?uid t ~(chain : string list)
   traced "filter-chain" name @@ fun () ->
   let n = I.array_length input in
   let result = I.new_array output_ty n in
-  let kernels = List.map (Vm.entry t.vm) chain in
   let io_bytes = 4 + elem_bytes output_ty in
-  let tr = new_trace n in
-  for i = 0 to n - 1 do
-    start_lane t;
-    let cycles = ref 0 in
-    let x =
-      List.fold_left
-        (fun x k ->
-          let r = Vm.call k [ x ] in
-          cycles := !cycles + r.executed;
-          r.value)
-        (I.Prim (I.array_get input i))
-        kernels
-    in
-    end_lane t tr i ~cycles:!cycles ~io_bytes;
-    I.array_set result i (I.prim_exn x)
-  done;
+  let tr = new_trace t n in
+  Vm.apply_all t.vm
+    (List.map (fun k -> k, None) chain)
+    (end_lane t tr ~io_bytes) input ~into:result;
   I.freeze result, aggregate ~device ~model_divergence:true tr

@@ -5,7 +5,11 @@ module Ir = Lime_ir.Ir
     Functionally it computes exactly what the bytecode path computes:
     every work item runs the program's own bytecode on the engine's
     VM, so substituting a GPU artifact never changes program results —
-    the paper's semantic-equivalence requirement for artifacts.
+    the paper's semantic-equivalence requirement for artifacts. A
+    kernel launch is one VM launch over all its work items
+    ({!Bytecode.Vm.map}, {!Bytecode.Vm.fold}, {!Bytecode.Vm.apply_all}),
+    not a call per item: after each item, its cycles, memory bytes and
+    branch signature are recorded and the lane reset.
 
     For timing it models the forces that produce the paper's reported
     12x-431x data-parallel speedups: thousands of SIMT lanes, warp
@@ -42,6 +46,9 @@ type program
     cycles. Each conditional branch also extends the work item's
     branch signature. Bounds proofs reach the device as the unchecked
     accesses in the bytecode. *)
+
+val weights : Bytecode.Vm.weights
+(** The device's cycle table, over the bytecode a work item runs. *)
 
 val prepare : Bytecode.Compile.unit_ -> program
 (** A device program over a compiled unit; functions specialise on

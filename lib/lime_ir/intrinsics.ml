@@ -1,10 +1,34 @@
 module V = Wire.Value
 
-let signatures =
+exception Error of string
+
+let fail fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
+
+(* [Wire.Value.f32], restated so that it inlines here: a build that
+   passes [-opaque] never inlines a call into another library. *)
+let[@inline] f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
+type typed = Unary of (float -> float) | Binary of (float -> float -> float)
+
+(* The one table: each operation on unboxed floats, rounded to single
+   precision. Built once, so looking an intrinsic up allocates
+   nothing. *)
+let table =
   [
-    "sqrt", 1; "exp", 1; "log", 1; "sin", 1; "cos", 1; "abs", 1;
-    "floor", 1; "pow", 2; "min", 2; "max", 2;
+    "sqrt", Unary (fun x -> f32 (sqrt x));
+    "exp", Unary (fun x -> f32 (exp x));
+    "log", Unary (fun x -> f32 (log x));
+    "sin", Unary (fun x -> f32 (sin x));
+    "cos", Unary (fun x -> f32 (cos x));
+    "abs", Unary (fun x -> f32 (Float.abs x));
+    "floor", Unary (fun x -> f32 (Float.floor x));
+    "pow", Binary (fun x y -> f32 (x ** y));
+    "min", Binary (fun x y -> f32 (Float.min x y));
+    "max", Binary (fun x y -> f32 (Float.max x y));
   ]
+
+let signatures =
+  List.map (fun (name, op) -> name, match op with Unary _ -> 1 | Binary _ -> 2) table
 
 let is_intrinsic key =
   match String.index_opt key '.' with
@@ -12,34 +36,25 @@ let is_intrinsic key =
     List.mem_assoc (String.sub key 5 (String.length key - 5)) signatures
   | _ -> false
 
-exception Error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
-
-let float1 name f args =
-  match args with
-  | [ V.Float x ] -> V.Float (V.f32 (f x))
-  | _ -> fail "Math.%s expects one float argument" name
-
-let float2 name f args =
-  match args with
-  | [ V.Float x; V.Float y ] -> V.Float (V.f32 (f x y))
-  | _ -> fail "Math.%s expects two float arguments" name
-
 let short key =
   match String.index_opt key '.' with
   | Some i -> String.sub key (i + 1) (String.length key - i - 1)
   | None -> key
 
-(* Built once, so looking an intrinsic up allocates nothing. *)
-let ops =
-  [
-    "sqrt", float1 "sqrt" sqrt; "exp", float1 "exp" exp;
-    "log", float1 "log" log; "sin", float1 "sin" sin; "cos", float1 "cos" cos;
-    "abs", float1 "abs" Float.abs; "floor", float1 "floor" Float.floor;
-    "pow", float2 "pow" ( ** ); "min", float2 "min" Float.min;
-    "max", float2 "max" Float.max;
-  ]
+let typed key = List.assoc_opt (short key) table
+
+(* The boxed form of a table entry, with its trap on other operands. *)
+let boxed name = function
+  | Unary f -> (
+    function
+    | [ V.Float x ] -> V.Float (f x)
+    | _ -> fail "Math.%s expects one float argument" name)
+  | Binary f -> (
+    function
+    | [ V.Float x; V.Float y ] -> V.Float (f x y)
+    | _ -> fail "Math.%s expects two float arguments" name)
+
+let ops = List.map (fun (name, op) -> name, boxed name op) table
 
 let resolve key : V.t list -> V.t =
   let name = short key in

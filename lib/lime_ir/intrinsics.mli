@@ -27,6 +27,13 @@ val resolve : string -> Wire.Value.t list -> Wire.Value.t
 (** [resolve key] looks the intrinsic up once; applying the result is
     [apply key]. An unknown key raises {!Error} when applied. *)
 
+type typed = Unary of (float -> float) | Binary of (float -> float -> float)
+
+val typed : string -> typed option
+(** [typed key] is the intrinsic on unboxed floats, its result rounded
+    to single precision; {!resolve} is derived from the same table.
+    [None] for an unknown key. *)
+
 val device_cycles : string -> int
 (** GPU special-function-unit cost of one application. *)
 

@@ -225,19 +225,15 @@ let measure_artifact ctx (artifact : Artifact.t) chain ~input_ty =
 let measure_vm ctx chain ~receivers ~input_ty =
   let samples = 8 in
   let executed = ref 0 in
+  let vm =
+    Bytecode.Vm.chain ctx.cx_vm
+      (List.map2 (fun f receiver -> Exec.filter_fn_key f, receiver) chain receivers)
+  in
   for i = 0 to samples - 1 do
-    let x = ref (Option.get (synth_value input_ty i)) in
-    List.iter2
-      (fun f receiver ->
-        let args =
-          match receiver with
-          | Some r -> [ r; I.Prim !x ]
-          | None -> [ I.Prim !x ]
-        in
-        let r = Bytecode.Vm.run ctx.cx_vm (Exec.filter_fn_key f) args in
-        executed := !executed + r.Bytecode.Vm.executed;
-        x := I.prim_exn r.Bytecode.Vm.value)
-      chain receivers
+    ignore
+      (Bytecode.Vm.apply vm
+         (fun n -> executed := !executed + n)
+         (Option.get (synth_value input_ty i)))
   done;
   let per_elem =
     float_of_int !executed /. float_of_int samples

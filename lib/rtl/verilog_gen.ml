@@ -98,6 +98,9 @@ type outcome =
   | Returned of string  (* every path returned this expression *)
   | Fell_through of env  (* no path returned; updated bindings *)
 
+(* [sym_fn prog key args] symbolically evaluates a function to its
+   result expression text and field next-value updates; raises
+   [Unsynthesizable] on unsupported constructs. *)
 let rec sym_fn (prog : Ir.program) (key : string) (args : string list) : string
     * (int * string) list =
   (* Returns the result expression and field next-value updates the
@@ -332,7 +335,8 @@ let filter_module_text (prog : Ir.program) (st : Netlist.stage) : string =
    registers at every cycle boundary (a [st_latency]-deep shift
    register of valid/data pairs), so the module accepts a new element
    every cycle — initiation interval 1 — and the result emerges
-   [st_latency] cycles later. *)
+   [st_latency] cycles later. Stateless datapaths only: raises
+   [Unsynthesizable] if the stage has register state. *)
 let pipelined_module_text (prog : Ir.program) (st : Netlist.stage) : string =
   let in_w = st.st_in_width in
   let out_w = st.st_out_width in

@@ -46,10 +46,6 @@ type t = {
 
 val make : name:string -> ?ports:(string * Channel.t) list -> (unit -> status) -> t
 
-val port_state : Channel.t -> string
-(** ["full"], ["empty"], ["3/16"], with [",closed"] appended once the
-    producer has closed the channel. *)
-
 val describe_ports : t -> string
 (** E.g. ["[in=empty out=full]"]; [""] when the actor declared no
     ports. Used by the scheduler's deadlock report. *)

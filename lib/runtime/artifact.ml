@@ -75,7 +75,6 @@ let chain_uid (filters : Ir.filter_info list) =
    are recoverable from the artifact name alone — fault-injection
    specs keep matching, and unfuse-on-fault knows what to re-plan. *)
 let fused_prefix = Lime_ir.Fuse.fused_prefix
-let fused_uid = Lime_ir.Fuse.fused_uid
 let is_fused_uid = Lime_ir.Fuse.is_fused_uid
 let fused_members = Lime_ir.Fuse.member_uids
 

@@ -65,14 +65,11 @@ val chain_uid : Ir.filter_info list -> string
     knows which per-stage chain to re-plan. *)
 
 val fused_prefix : string
-val fused_uid : Ir.filter_info list -> string
 val is_fused_uid : string -> bool
 
 val fused_members : string -> string list
 (** Member uids behind a (possibly fused) uid; a plain uid is its own
     single member. *)
-
-val describe : t -> string
 
 type manifest_entry = { me_uid : string; me_device : device; me_desc : string }
 

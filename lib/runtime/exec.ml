@@ -243,27 +243,19 @@ let filter_fn_key (f : Ir.filter_info) =
   | Ir.F_static key -> key
   | Ir.F_instance (cls, m) -> cls ^ "." ^ m
 
-(* One filter application on the VM: the receiver, for an instance
-   filter, then the element. [fn] is the filter's function, resolved
-   once per actor, batch or launch. [charge] books the executed
-   instructions to the CPU model or, for a native segment, to the
-   native one. *)
-let apply_filter t ~charge fn receiver x =
-  let args =
-    match receiver with Some r -> [ r; I.Prim x ] | None -> [ I.Prim x ]
-  in
-  let r = Bytecode.Vm.call fn args in
-  charge t.metrics_ r.Bytecode.Vm.executed;
-  I.prim_exn r.Bytecode.Vm.value
+(* Filters by function key, each with its receiver for an instance
+   filter. *)
+let vm_filters (filters : (Ir.filter_info * I.v option) list) =
+  List.map (fun (f, receiver) -> filter_fn_key f, receiver) filters
 
-(* A bytecode filter's per-element function: one VM call per element,
-   charged to the CPU model, under a "bc:" span. *)
-let bytecode_apply t ((f : Ir.filter_info), receiver) =
-  let fn = Bytecode.Vm.entry t.vm (filter_fn_key f) in
+(* A bytecode filter's per-element function, charged to the CPU model,
+   under a "bc:" span. *)
+let bytecode_apply t (((f : Ir.filter_info), _) as pair) =
+  let chain = Bytecode.Vm.chain t.vm (vm_filters [ pair ]) in
+  let charge = Metrics.add_vm_instructions t.metrics_ in
   let span_name = "bc:" ^ f.uid in
   fun x ->
-    Trace.with_span ~cat:"vm" span_name (fun () ->
-        apply_filter t ~charge:Metrics.add_vm_instructions fn receiver x)
+    Trace.with_span ~cat:"vm" span_name (fun () -> Bytecode.Vm.apply chain charge x)
 
 let bytecode_filter_actor t (((f : Ir.filter_info), _) as pair) inp out =
   Actor.filter ~name:("bc:" ^ f.uid) ~f:(bytecode_apply t pair) inp out
@@ -343,19 +335,27 @@ let fpga_batch t (artifact : Artifact.fpga_artifact)
       let input_ty = Rtl.Netlist.input_ty pipeline in
       let packed = pack_stream input_ty xs in
       let dev_input = unpack_stream (ship_to_device t packed) in
-      let fns =
+      let chains =
         List.map
-          (fun (st : Rtl.Netlist.stage) -> st, Bytecode.Vm.entry t.vm st.st_fn)
+          (fun (st : Rtl.Netlist.stage) ->
+            st, Bytecode.Vm.chain t.vm [ st.st_fn, st.st_state ])
           stages
       in
       let eval (st : Rtl.Netlist.stage) x =
-        apply_filter t ~charge:(fun _ _ -> ()) (List.assq st fns) st.st_state x
+        Bytecode.Vm.apply (List.assq st chains) ignore x
       in
       let outputs, stats = Rtl.Sim.run ~eval pipeline dev_input in
       Metrics.add_fpga_run t.metrics_ ~cycles:stats.Rtl.Sim.cycles
         ~ns:(float_of_int (stats.Rtl.Sim.cycles * Rtl.Sim.clock_ns));
       let out_packed = pack_stream (Rtl.Netlist.output_ty pipeline) outputs in
       unpack_stream (ship_to_host ~streaming:fused t out_packed))
+
+(* A chunk's fresh output array as a value: flat arrays are already
+   one, so only bit and boxed arrays pay [I.freeze]'s copy. *)
+let frozen (out : V.t) : V.t =
+  match out with
+  | V.Int_array _ | V.Float_array _ | V.Bool_array _ -> out
+  | _ -> I.freeze out
 
 (* A native-substituted segment: the chain runs as a compiled shared
    library loaded into the process (paper section 5). Functionally the
@@ -374,20 +374,12 @@ let native_batch t (artifact : Artifact.native_artifact)
   with_launch_span t ~elements:(List.length xs) ("native:" ^ artifact.na_uid)
     (fun () ->
       let packed = pack_stream input_ty xs in
-      let dev_input = unpack_stream (ship_to_device ~boundary:nb t packed) in
-      let stages =
-        List.map
-          (fun (f, receiver) -> Bytecode.Vm.entry t.vm (filter_fn_key f), receiver)
-          filters
-      in
-      let apply x (fn, receiver) =
-        apply_filter t ~charge:Metrics.add_native_instructions fn receiver x
-      in
-      let outputs =
-        List.map (fun x -> List.fold_left apply x stages) dev_input
-      in
-      unpack_stream
-        (ship_to_host ~boundary:nb t (pack_stream output_ty outputs)))
+      let dev_input = ship_to_device ~boundary:nb t packed in
+      let outputs = I.new_array output_ty (I.array_length dev_input) in
+      Bytecode.Vm.apply_all t.vm (vm_filters filters)
+        (Metrics.add_native_instructions t.metrics_)
+        dev_input ~into:outputs;
+      unpack_stream (ship_to_host ~boundary:nb t (frozen outputs)))
 
 let batch_of_artifact t (artifact : Artifact.t) pairs xs =
   match artifact with
@@ -1053,8 +1045,8 @@ let run_mr_actors t ~uid ~(bounds : (int * int) list)
    (a reduce has one); a chunk is its [(offset, length)] bounds. *)
 type kernel = {
   k_vm : charge:(int -> unit) -> (I.v * bool) list -> int * int -> V.t;
-      (** a chunk on the VM: one call per element, or a left fold. The
-          bytecode and native paths differ only in what they [charge]. *)
+      (** a chunk as one VM launch: a map, or a left fold. The bytecode
+          and native paths differ only in what they [charge]. *)
   k_simt : (I.v * bool) list -> int * int -> V.t * Gpu.Simt.timing;
       (** a chunk as one SIMT launch over the device-resident operands *)
   k_pack : V.t list -> V.t;
@@ -1217,13 +1209,6 @@ let run_kernel_site t (lw : Lmr.lowered) ~n ~chunks (kind : kernel)
       in
       home 0 [])
 
-(* A chunk's fresh output array as a value: flat arrays are already
-   one, so only bit and boxed arrays pay [I.freeze]'s copy. *)
-let frozen (out : V.t) : V.t =
-  match out with
-  | V.Int_array _ | V.Float_array _ | V.Bool_array _ -> out
-  | _ -> I.freeze out
-
 (* A map's chunk results concatenated in chunk order, one blit per
    chunk for flat arrays. *)
 let concat_chunks (elem : Ir.ty) = function
@@ -1252,27 +1237,13 @@ let concat_chunks (elem : Ir.ty) = function
    concatenation, and stays one piece. *)
 let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
     (pairs : (I.v * bool) list) (n : int) : I.v =
-  let fn = Bytecode.Vm.entry t.vm lw.Lmr.lw_fn in
   let elem = site.Ir.map_elem_ty in
   run_kernel_site t lw ~n
     ~chunks:(Lmr.chunks_for ?override:t.map_chunks ~n lw.Lmr.lw_kind)
     {
       k_vm =
         (fun ~charge ops (off, len) ->
-          let out = I.new_array elem len in
-          for j = 0 to len - 1 do
-            let args =
-              List.map
-                (fun (a, mapped) ->
-                  if mapped then I.Prim (I.array_get (I.prim_exn a) (off + j))
-                  else a)
-                ops
-            in
-            let r = Bytecode.Vm.call fn args in
-            charge r.Bytecode.Vm.executed;
-            I.array_set out j (I.prim_exn r.Bytecode.Vm.value)
-          done;
-          frozen out);
+          Bytecode.Vm.map t.vm lw.Lmr.lw_fn ~elem ops ~off ~len charge);
       k_simt =
         (fun ops (offset, len) ->
           Gpu.Simt.run_map ~device:t.gpu_device t.simt site
@@ -1287,7 +1258,7 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
     }
     pairs
 
-(* The lowered-map hook: validate exactly what [Vm.eval_map] validates
+(* The lowered-map hook: validate exactly what the VM's inline map validates
    and answer [None] on any mismatch, so the VM raises its canonical
    diagnostics ("map needs at least one array argument", "mapped
    arrays have different lengths"). *)
@@ -1313,7 +1284,7 @@ let run_lowered_map t (lw : Lmr.lowered) (site : Ir.map_site)
   match validated with
   | None -> None
   | Some (_, 0) ->
-    (* [eval_map]'s empty-stream result: a frozen empty array *)
+    (* the VM's inline map's empty-stream result: a frozen empty array *)
     Some (I.Prim (I.freeze (I.new_array site.Ir.map_elem_ty 0)))
   | Some (pairs, n) -> Some (run_lowered_map_n t lw site pairs n)
 
@@ -1341,19 +1312,21 @@ let combiner_assoc t (fn_key : string) : bool =
 let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
     (host : V.t) (n : int) : I.v =
   let uid = lw.Lmr.lw_uid in
-  let fn = Bytecode.Vm.entry t.vm lw.Lmr.lw_fn in
+  let fn = lw.Lmr.lw_fn and elem = site.Ir.red_elem_ty in
   let array_of ops = I.prim_exn (fst (List.hd ops)) in
+  let pack vs =
+    let buf = I.new_array elem (List.length vs) in
+    List.iteri (I.array_set buf) vs;
+    I.freeze buf
+  in
   (* The same shape a device-side reduction uses. For a
      proven-associative combiner this is bit-identical to the
      sequential fold; a forced [reduce_chunks] opted into
      reassociation already. *)
   let combine a b =
-    let r =
-      Trace.with_span ~cat:"vm" ("bc:" ^ uid) (fun () ->
-          Bytecode.Vm.call fn [ a; b ])
-    in
-    Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
-    r.Bytecode.Vm.value
+    Trace.with_span ~cat:"vm" ("bc:" ^ uid) (fun () ->
+        Bytecode.Vm.fold t.vm fn (pack [ a; b ]) ~off:0 ~len:2
+          (Metrics.add_vm_instructions t.metrics_))
   in
   let rec pair_round = function
     | a :: b :: rest -> combine a b :: pair_round rest
@@ -1372,27 +1345,14 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
     {
       k_vm =
         (fun ~charge ops (off, len) ->
-          let arr = array_of ops in
-          let acc = ref (I.Prim (I.array_get arr off)) in
-          for j = 1 to len - 1 do
-            let r =
-              Bytecode.Vm.call fn [ !acc; I.Prim (I.array_get arr (off + j)) ]
-            in
-            charge r.Bytecode.Vm.executed;
-            acc := r.Bytecode.Vm.value
-          done;
-          I.prim_exn !acc);
+          Bytecode.Vm.fold t.vm fn (array_of ops) ~off ~len charge);
       k_simt =
         (fun ops (offset, len) ->
           Gpu.Simt.run_reduce ~device:t.gpu_device t.simt site
             (slice_prim (array_of ops) ~offset ~len));
-      k_pack =
-        (fun vs ->
-          let buf = I.new_array site.Ir.red_elem_ty (List.length vs) in
-          List.iteri (I.array_set buf) vs;
-          I.freeze buf);
+      k_pack = pack;
       k_unpack = (fun v m -> List.init m (I.array_get v));
-      k_combine = (fun vs -> tree (List.map (fun v -> I.Prim v) vs));
+      k_combine = (fun vs -> I.Prim (tree vs));
     }
     [ I.Prim host, true ]
 

@@ -58,6 +58,7 @@ let record_exclusion t ~uid ~device ~reason =
         @ [ { Artifact.ex_uid = uid; ex_device = device; ex_reason = reason } ];
     }
 
+(* Most recently used first. *)
 let residents t ~device =
   Option.value (List.assoc_opt device t.resident) ~default:[]
 

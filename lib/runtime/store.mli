@@ -45,9 +45,6 @@ val note_resident : t -> device:Artifact.device -> uid:string -> unit
 
 val is_resident : t -> device:Artifact.device -> uid:string -> bool
 
-val residents : t -> device:Artifact.device -> string list
-(** Most recently used first. *)
-
 val manifest : t -> Artifact.manifest
 val artifact_count : t -> int
 

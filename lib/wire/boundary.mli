@@ -62,9 +62,5 @@ val transfer_ns : t -> int -> float
 (** [transfer_ns t bytes] is the modeled cost of one crossing moving
     [bytes] bytes. *)
 
-val streaming_transfer_ns : t -> int -> float
-(** Bandwidth-only cost of a streaming return leg (no per-crossing
-    latency); the cost model's mirror of [to_host ~streaming:true]. *)
-
 val stats : t -> stats
 val reset_stats : t -> unit
