@@ -2,9 +2,10 @@
     the FPGA").
 
     Synthesizable filters are straight-line code with muxes, so each
-    datapath folds into one combinational expression per output,
-    reconstructed by symbolic evaluation with full call inlining;
-    stateful filters contribute a next-value expression per field
+    datapath is combinational logic, reconstructed by symbolic
+    evaluation with full call inlining. Each operator and mux value is
+    declared once as a wire and read by name, and identical values
+    share one wire; stateful filters contribute a next value per field
     register. Floating-point operators appear as [fadd]/[fmul]/...
     function references (vendor FP cores).
 

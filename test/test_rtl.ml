@@ -468,6 +468,69 @@ class N {
     (Test_types.contains text "input  wire [31:0] in_data")
 
 
+let artifact_texts source =
+  let c = Liquid_metal.Compiler.compile source in
+  List.filter_map
+    (fun (e : Runtime.Artifact.manifest_entry) ->
+      match Runtime.Store.find_on c.store ~uid:e.me_uid ~device:e.me_device with
+      | Some (Runtime.Artifact.Fpga_module f) -> Some (e.me_device, f.fa_verilog)
+      | Some (Runtime.Artifact.Gpu_kernel g) -> Some (e.me_device, g.ga_opencl)
+      | Some (Runtime.Artifact.Native_binary n) -> Some (e.me_device, n.na_c)
+      | None -> None)
+    (Liquid_metal.Compiler.manifest c).entries
+
+(* crc8's filter with its unrolled shift step repeated [n] times. *)
+let crc_with_steps n =
+  let step =
+    "    c = (c & 128) != 0 ? ((c << 1) & 255) ^ 7 : (c << 1) & 255;"
+  in
+  let lines = String.split_on_char '\n' Workloads.crc8.source in
+  check_int "crc8 unrolls 8 steps" 8
+    (List.length (List.filter (String.equal step) lines));
+  let seen = ref false in
+  String.concat "\n"
+    (List.concat_map
+       (fun l ->
+         if l <> step then [ l ]
+         else if !seen then []
+         else (
+           seen := true;
+           List.init n (fun _ -> step)))
+       lines)
+
+(* Each step reads its running value three times, so a text that
+   copied a value per read would triple with every step (16 steps
+   would need about 7 GB); one wire per value grows by a few lines. *)
+let test_verilog_linear_size () =
+  let size steps =
+    match
+      List.filter (fun (d, _) -> d = Runtime.Artifact.Fpga)
+        (artifact_texts (crc_with_steps steps))
+    with
+    | [ (_, text) ] -> String.length text
+    | _ -> Alcotest.fail "expected one FPGA artifact"
+  in
+  (* smallest first: a text that copies per read fails before the
+     larger sizes are attempted *)
+  let s8 = size 8 in
+  check_bool "crc8 under 8 KB" true (s8 < 8192);
+  let s16 = size 16 in
+  check_bool "8 -> 16 steps: at most 1 KB per step" true (s16 - s8 <= 8 * 1024);
+  let s32 = size 32 in
+  check_bool "16 -> 32 steps: at most 1 KB per step" true
+    (s32 - s16 <= 16 * 1024)
+
+let test_artifact_texts_small () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      List.iter
+        (fun (d, text) ->
+          if String.length text >= 16384 then
+            Alcotest.failf "%s: a %s artifact of %d bytes" w.name
+              (Runtime.Artifact.device_name d) (String.length text))
+        (artifact_texts w.source))
+    Workloads.all
+
 (* --- VCD reader -------------------------------------------------------- *)
 
 let test_vcd_reader_roundtrip () =
@@ -540,6 +603,10 @@ let suite =
         test_verilog_stateful_has_registers;
       Alcotest.test_case "verilog range narrowing" `Quick
         test_verilog_range_narrowing;
+      Alcotest.test_case "verilog size linear in crc8 steps" `Quick
+        test_verilog_linear_size;
+      Alcotest.test_case "artifact texts under 16 KB" `Quick
+        test_artifact_texts_small;
       Alcotest.test_case "vcd reader roundtrip" `Quick test_vcd_reader_roundtrip;
       Alcotest.test_case "vcd reader value_at" `Quick test_vcd_reader_value_at;
       Alcotest.test_case "vcd ascii render" `Quick test_vcd_ascii_render;
