@@ -55,4 +55,6 @@ let as_bits_literal = function
   | I.Prim (V.Bits b) -> Bits.Bitvec.to_literal b
   | v -> type_error "bit[]" v
 
-let show v = Format.asprintf "%a" I.pp v
+let show = function
+  | I.Prim p -> V.to_string p
+  | v -> Format.asprintf "%a" I.pp v

@@ -55,8 +55,13 @@ val shr32 : int -> int -> int
 val ushr32 : int -> int -> int
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** The one rendering of a value: floats with six significant digits
+    ([%g]), arrays as [[a; b]], tuples as [(a, b)], bit arrays as a
+    literal ([101b]), enums as [Name.tag]. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 val type_name : t -> string
 (** Short description used in runtime error messages ("int[]", "bit"). *)
