@@ -8,11 +8,6 @@
 val fused_prefix : string
 (** ["fuse:"] — every fused uid/function key starts with this. *)
 
-val fused_uid : Ir.filter_info list -> string
-(** ["fuse:" ^ member uids joined with '+']. Doubles as the fused
-    function key and the fused artifact uid, so pre-fusion segment
-    names are recoverable from the fused name alone. *)
-
 val is_fused_uid : string -> bool
 
 val member_uids : string -> string list
@@ -27,11 +22,11 @@ type fused = {
           registers); [false] = call-chain fallback *)
 }
 
-val fuse_run :
-  Ir.program -> Ir.filter_info list -> (Ir.program * fused, string) result
-(** Compose one run (>= 2 members, all [F_static], pipeline order)
-    into a fused function registered in the returned program. *)
-
 val fuse_program :
   Ir.program -> Ir.filter_info list list -> Ir.program * fused list
-(** Fuse every run; runs the composer cannot handle are skipped. *)
+(** Fuse every run (>= 2 members, all [F_static], pipeline order) into
+    a fused function registered in the returned program; runs the
+    composer cannot handle are skipped. A fused function's key and
+    artifact uid is ["fuse:" ^ member uids joined with '+'], so
+    pre-fusion segment names are recoverable from the fused name
+    alone. *)

@@ -28,8 +28,6 @@ type hooks = {
       (** full control over graph execution; return [true] if handled *)
 }
 
-val no_hooks : hooks
-
 val default_value : Ir.ty -> v
 (** Zero / false / empty value used for uninitialized slots. *)
 

@@ -16,8 +16,6 @@ type lowered = {
           for it directly *)
 }
 
-val lower_site : kind -> lowered
-
 val lower_program : Ir.program -> lowered Ir.String_map.t
 (** Every kernel site in the program, lowered, keyed by site UID. *)
 

@@ -15,10 +15,3 @@ val chain_source_text : Ir.program -> uid:string -> Ir.filter_info list -> strin
 (** The complete shared-library source for a filter chain: state
     structs, static functions for every reachable callee, and one
     exported entry point streaming the chain over an array. *)
-
-val function_text : Ir.func -> string
-(** A single function definition (used by tests and tooling). *)
-
-val state_struct_text : Ir.program -> string -> string
-(** The state struct declaration for a class, e.g.
-    [struct Acc_state { int32_t field_0; }]. *)

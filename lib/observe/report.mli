@@ -98,16 +98,12 @@ type predict = uid:string -> device:string -> n:int -> (float * string) option
     on [device], plus the profile source name — wired to
     [Placement.Calibrate.predictor] by the CLI. *)
 
-val drift_factor : float
-(** Launches whose observed/predicted ratio leaves
-    [[1/drift_factor, drift_factor]] are flagged (1.5, matching the
-    online re-planner's demotion factor). *)
-
 val attribution_total : attribution -> float
 
-val drift_ratio : drift_row -> float option
 val drift_verdict : drift_row -> string
-(** ["ok"], ["drift(slow)"], ["drift(fast)"], or ["n/a"]. *)
+(** ["ok"], ["drift(slow)"], ["drift(fast)"], or ["n/a"]: launches
+    whose observed/predicted ratio leaves [[1/1.5, 1.5]] are flagged
+    (1.5, matching the online re-planner's demotion factor). *)
 
 val analyze :
   ?predict:predict ->

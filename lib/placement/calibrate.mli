@@ -35,9 +35,6 @@ val hits : ctx -> int
 val calibrated : ctx -> int
 (** Profiles calibrated (measured or analytic) by this context. *)
 
-val calibration_sizes : int * int
-(** The two stream sizes of the measured linear fit. *)
-
 val predictor :
   ctx -> uid:string -> device:string -> n:int -> (float * string) option
 (** Predicted modeled ns for one launch of [n] elements of chain [uid]

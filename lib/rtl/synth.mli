@@ -42,10 +42,8 @@ val latency_of :
   Ir.filter_info ->
   int
 (** Compute cycles of the unpipelined stage: the maximum operation
-    count along any path, at {!ops_per_cycle} datapath operations per
-    clock, minimum 1. *)
-
-val ops_per_cycle : float
+    count along any path, at 4 datapath operations per clock, minimum
+    1. *)
 
 val pipeline_of_chain :
   ?effects:Analysis.Effects.t ->

@@ -113,17 +113,14 @@ val pp : Format.formatter -> snapshot -> unit
 (** Multi-line [name{labels}: value] rendering derived from {!fields},
     followed by the substitution list. *)
 
-val registry_of : snapshot -> Support.Registry.t
-(** The snapshot loaded into a {!Support.Registry}: one counter per
-    {!fields} entry plus a labeled [substitutions] counter. *)
-
 val to_json : snapshot -> string
 (** [{"metrics": <registry JSON>, "substitutions": [{uid, device}...]}]
-    — derived from {!fields} via {!registry_of}. *)
+    — the snapshot loaded into a {!Support.Registry}: one counter per
+    {!fields} entry plus a labeled [substitutions] counter. *)
 
 val to_text : snapshot -> string
-(** OpenMetrics-style text exposition of {!registry_of} (scrapeable by
-    a future [lmc serve]). *)
+(** OpenMetrics-style text exposition of the same registry (scrapeable
+    by a future [lmc serve]). *)
 
 val cpu_ns_per_instruction : float
 (** ~6ns: a ~2GHz core spending a dozen cycles per interpreted

@@ -18,8 +18,6 @@
 
 type deadline = Interactive | Batch
 
-val deadline_name : deadline -> string
-
 type tenant = {
   t_name : string;
   t_weight : int;  (** WDRR share of contended device time, >= 1 *)

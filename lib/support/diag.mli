@@ -21,9 +21,6 @@ exception Compile_error of t
 val error : ?loc:Srcloc.t -> phase:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [error ~loc ~phase fmt ...] raises {!Compile_error}. *)
 
-val errorf : ?loc:Srcloc.t -> phase:string -> string -> 'a
-(** Non-format variant of {!error}. *)
-
 val warning : ?loc:Srcloc.t -> phase:string -> string -> t
 (** Builds a warning value (callers collect them). *)
 

@@ -54,5 +54,4 @@ val byte_size : ty -> Value.t -> int
     Accepts exactly the values {!encode_bytes} accepts.
     @raise Type_mismatch otherwise. *)
 
-val pp_ty : Format.formatter -> ty -> unit
 val ty_to_string : ty -> string
