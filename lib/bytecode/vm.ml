@@ -96,8 +96,8 @@ type fn = {
 
 and callee =
   | Fn of fn
-  | Intrinsic of (V.t list -> V.t) * Lime_ir.Intrinsics.typed option * int
-      (** the operation boxed and on unboxed floats, and its charge *)
+  | Intrinsic of (V.t list -> V.t) * Lime_ir.Intrinsics.op option * int
+      (** the operation boxed and by tag, and its charge *)
   | Missing of string
 
 (* A device program charges its weights instead of instruction counts
@@ -439,29 +439,38 @@ let astore checked (a : operand) (idx : operand) (x : operand) (k : code) : code
 
 (* The slots of a [Math] intrinsic's operands, when each is a float
    slot and there are as many as it takes. *)
-let float_slots (op : Lime_ir.Intrinsics.typed) (args : operand list) =
-  match op, args with
-  | Lime_ir.Intrinsics.Unary _, [ { ty = Some Ir.F32; loc = Slot i } ] -> Some [ i ]
-  | ( Lime_ir.Intrinsics.Binary _,
-      [ { ty = Some Ir.F32; loc = Slot i }; { ty = Some Ir.F32; loc = Slot j } ] ) ->
+let float_slots (op : Lime_ir.Intrinsics.op) (args : operand list) =
+  match Lime_ir.Intrinsics.arity op, args with
+  | 1, [ { ty = Some Ir.F32; loc = Slot i } ] -> Some [ i ]
+  | 2, [ { ty = Some Ir.F32; loc = Slot i }; { ty = Some Ir.F32; loc = Slot j } ] ->
     Some [ i; j ]
   | _ -> None
 
-(* A [Math] intrinsic on float slots into slot [d], charging [charge]. *)
-let intrinsic_call (op : Lime_ir.Intrinsics.typed) charge slots d (k : code) : code =
+(* An intrinsic's result [x] into float slot [d], charging [charge]. *)
+let[@inline] put st fr charge d x (k : code) =
+  st.executed <- st.executed + charge;
+  fr.floats.(d) <- x;
+  k st fr
+
+(* A [Math] intrinsic on float slots into slot [d], charging [charge]:
+   one closure per operation, each calling its float primitive on
+   unboxed floats and rounding as [Lime_ir.Intrinsics.apply] does. *)
+let intrinsic_call (op : Lime_ir.Intrinsics.op) charge slots d (k : code) : code =
+  let module M = Lime_ir.Intrinsics in
   match op, slots with
-  | Lime_ir.Intrinsics.Unary f, [ i ] ->
-    fun st fr ->
-      st.executed <- st.executed + charge;
-      let r = fr.floats in
-      r.(d) <- f r.(i);
-      k st fr
-  | Lime_ir.Intrinsics.Binary f, [ i; j ] ->
-    fun st fr ->
-      st.executed <- st.executed + charge;
-      let r = fr.floats in
-      r.(d) <- f r.(i) r.(j);
-      k st fr
+  | M.Sqrt, [ i ] -> fun st fr -> put st fr charge d (f32 (sqrt fr.floats.(i))) k
+  | M.Exp, [ i ] -> fun st fr -> put st fr charge d (f32 (exp fr.floats.(i))) k
+  | M.Log, [ i ] -> fun st fr -> put st fr charge d (f32 (log fr.floats.(i))) k
+  | M.Sin, [ i ] -> fun st fr -> put st fr charge d (f32 (sin fr.floats.(i))) k
+  | M.Cos, [ i ] -> fun st fr -> put st fr charge d (f32 (cos fr.floats.(i))) k
+  | M.Abs, [ i ] -> fun st fr -> put st fr charge d (f32 (Float.abs fr.floats.(i))) k
+  | M.Floor, [ i ] -> fun st fr -> put st fr charge d (f32 (Float.floor fr.floats.(i))) k
+  | M.Pow, [ i; j ] ->
+    fun st fr -> put st fr charge d (f32 (fr.floats.(i) ** fr.floats.(j))) k
+  | M.Min, [ i; j ] ->
+    fun st fr -> put st fr charge d (f32 (Float.min fr.floats.(i) fr.floats.(j))) k
+  | M.Max, [ i; j ] ->
+    fun st fr -> put st fr charge d (f32 (Float.max fr.floats.(i) fr.floats.(j))) k
   | _ -> invalid_arg "Vm.intrinsic_call"
 
 (* --- static types -------------------------------------------------------- *)
@@ -937,8 +946,7 @@ let rec resolve p key : callee =
     let c =
       if Lime_ir.Intrinsics.is_intrinsic key then
         let charge = match p.device with None -> 1 | Some (w, _) -> w.intrinsic key in
-        Intrinsic
-          (Lime_ir.Intrinsics.resolve key, Lime_ir.Intrinsics.typed key, charge)
+        Intrinsic (Lime_ir.Intrinsics.resolve key, Lime_ir.Intrinsics.op key, charge)
       else
         match Ir.String_map.find_opt key p.unit_.Compile.u_funcs with
         | None -> Missing key

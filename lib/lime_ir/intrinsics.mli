@@ -27,12 +27,17 @@ val resolve : string -> Wire.Value.t list -> Wire.Value.t
 (** [resolve key] looks the intrinsic up once; applying the result is
     [apply key]. An unknown key raises {!Error} when applied. *)
 
-type typed = Unary of (float -> float) | Binary of (float -> float -> float)
+type op = Sqrt | Exp | Log | Sin | Cos | Abs | Floor | Pow | Min | Max
+(** The operation of each entry of the one table that {!resolve} and
+    {!signatures} are derived from. An engine that matches on it can
+    call the float primitive directly, unboxed; its result is rounded
+    to single precision, as {!apply}'s is. *)
 
-val typed : string -> typed option
-(** [typed key] is the intrinsic on unboxed floats, its result rounded
-    to single precision; {!resolve} is derived from the same table.
-    [None] for an unknown key. *)
+val op : string -> op option
+(** [op key] is the intrinsic's operation; [None] for an unknown key. *)
+
+val arity : op -> int
+(** How many float arguments the operation takes: 1 or 2. *)
 
 val device_cycles : string -> int
 (** GPU special-function-unit cost of one application. *)

@@ -36,6 +36,9 @@ type ctx = {
   cx_fresh : (string, unit) Hashtbl.t;
       (** keys this context calibrated itself: re-looking one up is
           neither a store hit nor a recalibration *)
+  cx_keys : (string * string * string, string) Hashtbl.t;
+      (** each (device, artifact uid, chain uid)'s profile key: a key
+          cannot change after compile, so it is hashed once *)
   mutable cx_hits : int;
   mutable cx_calibrated : int;
 }
@@ -50,6 +53,7 @@ let create ?profile_store (compiled : Liquid_metal.Compiler.compiled) =
     cx_engine = Liquid_metal.Compiler.engine compiled;
     cx_vm = Bytecode.Vm.prepare compiled.unit_;
     cx_fresh = Hashtbl.create 32;
+    cx_keys = Hashtbl.create 32;
     cx_hits = 0;
     cx_calibrated = 0;
   }
@@ -115,10 +119,18 @@ let params_of ctx (artifact : Artifact.t option) =
       (sample (Metrics.boundary m))
 
 let key_of ctx artifact chain =
-  Profile.key ~device:(device_name artifact)
-    ~chain:(Artifact.chain_uid chain)
-    ~content:(content_of ctx artifact chain)
-    ~params:(params_of ctx artifact)
+  let device = device_name artifact and chain_uid = Artifact.chain_uid chain in
+  let memo = (device, Option.fold ~none:"" ~some:Artifact.uid artifact, chain_uid) in
+  match Hashtbl.find_opt ctx.cx_keys memo with
+  | Some key -> key
+  | None ->
+    let key =
+      Profile.key ~device ~chain:chain_uid
+        ~content:(content_of ctx artifact chain)
+        ~params:(params_of ctx artifact)
+    in
+    Hashtbl.add ctx.cx_keys memo key;
+    key
 
 (* --- receiver fabrication --------------------------------------------- *)
 

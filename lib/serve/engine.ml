@@ -92,16 +92,21 @@ type dev_plan = {
   dp_artifacts : (Artifact.device * string) list;  (* device, uid *)
 }
 
-type plan_info = {
+(* What every job of one (workload, size) shares within a drain: its
+   placement, its inputs and its reference check. Lime values are
+   immutable, so one input value serves every job's [Exec.call]. *)
+type pair = {
   p_cost : float;  (* calibrated best makespan: the WDRR debit *)
   p_devices : (string * dev_plan) list;
+  p_args : Lm.I.v list;
+  p_check : (Lm.I.v -> (unit, string) result) option;
 }
 
 type wl = {
   w_workload : Workloads.t;
   w_engine : Exec.t;
   w_ctx : Calibrate.ctx;
-  w_plans : (int, plan_info) Hashtbl.t;
+  w_pairs : (int, pair) Hashtbl.t;
 }
 
 (* ---------- virtual-time state ---------- *)
@@ -203,17 +208,18 @@ let run ?(config = default_config) load =
             w_workload = workload;
             w_engine = engine;
             w_ctx = ctx;
-            w_plans = Hashtbl.create 4;
+            w_pairs = Hashtbl.create 4;
           }
         in
         Hashtbl.add wl_cache name w;
         w
   in
-  (* Per-(workload, size) placement prediction: one planner pass gives
-     every device's calibrated makespan plus the artifact set the plan
-     would stage there (the residency-bonus join key). *)
-  let plan_of w n =
-    match Hashtbl.find_opt w.w_plans n with
+  (* Per-(workload, size) state, built on the pair's first job: one
+     planner pass gives every device's calibrated makespan plus the
+     artifact set the plan would stage there (the residency-bonus join
+     key); the inputs and the reference check are built once too. *)
+  let pair_of w n =
+    match Hashtbl.find_opt w.w_pairs n with
     | Some p -> p
     | None ->
         let report = Planner.plan w.w_ctx ~n in
@@ -252,8 +258,16 @@ let run ?(config = default_config) load =
             (fun acc g -> acc +. g.Planner.gp_planned.Planner.cd_makespan_ns)
             0.0 report.Planner.rp_graphs
         in
-        let p = { p_cost = Float.max cost 1.0; p_devices = per_device } in
-        Hashtbl.add w.w_plans n p;
+        let p =
+          {
+            p_cost = Float.max cost 1.0;
+            p_devices = per_device;
+            p_args = w.w_workload.Workloads.args ~size:n;
+            p_check =
+              Option.map (fun check -> check ~size:n) w.w_workload.Workloads.validate;
+          }
+        in
+        Hashtbl.add w.w_pairs n p;
         p
   in
 
@@ -311,7 +325,7 @@ let run ?(config = default_config) load =
 
   let dispatch now spec =
     let w = wl_of spec.Job.j_workload in
-    let p = plan_of w spec.Job.j_size in
+    let p = pair_of w spec.Job.j_size in
     let best =
       List.fold_left
         (fun acc d ->
@@ -362,15 +376,13 @@ let run ?(config = default_config) load =
           ]
         ~cat:"job"
         (Printf.sprintf "job:%s:%s" spec.Job.j_tenant spec.Job.j_workload)
-        (fun () ->
-          Exec.call w.w_engine w.w_workload.Workloads.entry
-            (w.w_workload.Workloads.args ~size:spec.Job.j_size))
+        (fun () -> Exec.call w.w_engine w.w_workload.Workloads.entry p.p_args)
     in
     let service = Exec.modeled_ns w.w_engine -. t0 in
     let m1 = Metrics.snapshot (Exec.metrics w.w_engine) in
-    (match w.w_workload.Workloads.validate with
+    (match p.p_check with
     | Some check -> (
-        match check ~size:spec.Job.j_size out with
+        match check out with
         | Ok () -> ()
         | Error m ->
             serve_error "job %d (%s on %s): %s" spec.Job.j_id
@@ -429,7 +441,7 @@ let run ?(config = default_config) load =
                 match Queue.peek_opt ts.ts_queue with
                 | Some spec ->
                     let w = wl_of spec.Job.j_workload in
-                    let cost = (plan_of w spec.Job.j_size).p_cost in
+                    let cost = (pair_of w spec.Job.j_size).p_cost in
                     if ts.ts_deficit >= cost then begin
                       ignore (Queue.pop ts.ts_queue);
                       ts.ts_deficit <- ts.ts_deficit -. cost;

@@ -43,6 +43,12 @@ let check_float_array ~what expected (v : Lm.I.v) =
     end
   | _ -> Error (what ^ ": not a float array")
 
+let check_int_array ~what ~wrong expected (v : Lm.I.v) =
+  match v with
+  | Lm.I.Prim (V.Int_array got) ->
+    if got = expected then Ok () else Error (what ^ ": " ^ wrong)
+  | _ -> Error (what ^ ": not an int array")
+
 (* ------------------------------------------------------------------ *)
 (* saxpy: y' = a*x + y — bandwidth-bound, the low end of the paper's
    speedup range.                                                      *)
@@ -80,13 +86,13 @@ let saxpy =
         [ Lm.float a; Lm.float_array xs; Lm.float_array ys ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           let a, xs, ys = saxpy_inputs ~size in
           let expected =
             Array.init size (fun i ->
                 V.add_f32 (V.mul_f32 (V.f32 a) xs.(i)) ys.(i))
           in
-          check_float_array ~what:"saxpy" expected v);
+          check_float_array ~what:"saxpy" expected);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -125,7 +131,7 @@ let dotproduct =
         [ Lm.float_array xs; Lm.float_array ys ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           let xs, ys = dot_inputs ~size in
           let products = Array.init size (fun i -> V.mul_f32 xs.(i) ys.(i)) in
           let expected =
@@ -134,7 +140,7 @@ let dotproduct =
               products.(0)
               (Array.sub products 1 (size - 1))
           in
-          match v with
+          function
           | Lm.I.Prim (V.Float f) ->
             if close f expected then Ok ()
             else Error (Printf.sprintf "dot: %g, expected %g" f expected)
@@ -189,7 +195,7 @@ let matmul =
         [ Lm.float_array a; Lm.float_array b; Lm.int size ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           let a, b = matmul_inputs ~size in
           let n = size in
           let expected =
@@ -202,7 +208,7 @@ let matmul =
                 done;
                 !acc)
           in
-          check_float_array ~what:"matmul" expected v);
+          check_float_array ~what:"matmul" expected);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -266,7 +272,7 @@ let conv2d =
         ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           let img = conv2d_inputs ~size in
           let w = size and h = size in
           let at x y =
@@ -288,7 +294,7 @@ let conv2d =
                 done;
                 !acc)
           in
-          check_float_array ~what:"conv2d" expected v);
+          check_float_array ~what:"conv2d" expected);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -434,7 +440,7 @@ let sumsq =
     args = (fun ~size -> [ Lm.int_array (sumsq_inputs ~size) ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           let xs = sumsq_inputs ~size in
           let expected =
             Array.fold_left
@@ -442,7 +448,7 @@ let sumsq =
               (V.mul32 xs.(0) xs.(0))
               (Array.sub xs 1 (size - 1))
           in
-          match v with
+          function
           | Lm.I.Prim (V.Int got) ->
             if got = expected then Ok ()
             else Error (Printf.sprintf "sumsq: %d, expected %d" got expected)
@@ -497,11 +503,11 @@ let bitflip =
       (fun ~size -> [ Lm.I.Prim (V.Bits (bitflip_input ~size)) ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           let expected =
             Bits.Bitvec.to_literal (Bits.Bitvec.lognot (bitflip_input ~size))
           in
-          match v with
+          function
           | Lm.I.Prim (V.Bits got) ->
             if String.equal (Bits.Bitvec.to_literal got) expected then Ok ()
             else Error "bitflip: wrong bits"
@@ -547,7 +553,7 @@ let dsp_chain =
     args = (fun ~size -> [ Lm.int_array (dsp_inputs ~size) ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           let expected =
             Array.map
               (fun x ->
@@ -555,10 +561,7 @@ let dsp_chain =
                 max 0 (min 255 y))
               (dsp_inputs ~size)
           in
-          match v with
-          | Lm.I.Prim (V.Int_array got) ->
-            if got = expected then Ok () else Error "dsp: wrong samples"
-          | _ -> Error "dsp: not an int array");
+          check_int_array ~what:"dsp" ~wrong:"wrong samples" expected);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -599,7 +602,7 @@ let prefix_sum =
     args = (fun ~size -> [ Lm.int_array (prefix_inputs ~size) ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           let xs = prefix_inputs ~size in
           let acc = ref 0 in
           let expected =
@@ -609,10 +612,7 @@ let prefix_sum =
                 !acc)
               xs
           in
-          match v with
-          | Lm.I.Prim (V.Int_array got) ->
-            if got = expected then Ok () else Error "prefix: wrong sums"
-          | _ -> Error "prefix: not an int array");
+          check_int_array ~what:"prefix" ~wrong:"wrong sums" expected);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -673,7 +673,7 @@ let blackscholes =
         ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           (* double-precision reference, tolerance check *)
           let spots, strikes, years = blackscholes_inputs ~size in
           let r = 0.02 and vol = 0.30 in
@@ -698,7 +698,7 @@ let blackscholes =
           let expected =
             Array.init size (fun i -> price spots.(i) strikes.(i) years.(i))
           in
-          match v with
+          function
           | Lm.I.Prim (V.Float_array got) ->
             let bad = ref None in
             Array.iteri
@@ -769,7 +769,7 @@ let fir4 =
     args = (fun ~size -> [ Lm.float_array (fir4_inputs ~size) ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           (* exact f32 replica, matching Lime's evaluation order *)
           let xs = fir4_inputs ~size in
           let m = V.mul_f32 and a = V.add_f32 in
@@ -788,7 +788,7 @@ let fir4 =
                 y)
               xs
           in
-          check_float_array ~what:"fir4" expected v);
+          check_float_array ~what:"fir4" expected);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -842,7 +842,7 @@ let crc8 =
     args = (fun ~size -> [ Lm.int_array (crc8_inputs ~size) ]);
     validate =
       Some
-        (fun ~size v ->
+        (fun ~size ->
           let step c =
             if c land 128 <> 0 then ((c lsl 1) land 255) lxor 7
             else (c lsl 1) land 255
@@ -859,10 +859,7 @@ let crc8 =
                 !c)
               (crc8_inputs ~size)
           in
-          match v with
-          | Lm.I.Prim (V.Int_array got) ->
-            if got = expected then Ok () else Error "crc8: wrong checksums"
-          | _ -> Error "crc8: not an int array");
+          check_int_array ~what:"crc8" ~wrong:"wrong checksums" expected);
   }
 
 let all =

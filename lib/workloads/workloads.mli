@@ -44,7 +44,10 @@ type t = {
   default_size : int;
   validate :
     (size:int -> Liquid_metal.Lm.I.v -> (unit, string) result) option;
-      (** OCaml reference check of the result, when practical *)
+      (** OCaml reference check of the result, when practical.
+          Applying it to [~size] builds that size's inputs and
+          reference result; the function it returns only compares,
+          so one application serves every result of that size. *)
 }
 
 val all : t list

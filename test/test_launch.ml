@@ -425,7 +425,9 @@ let test_generator_coverage () =
    bytecode only and under the default policy. The bounds are a quarter
    of what one boxed call per element cost (42.1, 66.2, 49.1 and 234.5
    words under bytecode only; 40.2, 64.2, 47.1 and 232.8 by default), so
-   boxing per element again fails here. *)
+   boxing per element again fails here. blackscholes' seven [Math]
+   calls per element run unboxed too (0.7 and 1.0 words; 28.7 and 29.0
+   when each boxed its argument and result), so its bound is 2 words. *)
 let test_words_per_element () =
   let words policy name =
     let wl = Workloads.find name in
@@ -442,20 +444,20 @@ let test_words_per_element () =
   List.iter
     (fun (name, bytecode, default) ->
       List.iter
-        (fun (label, policy, old) ->
+        (fun (label, policy, bound) ->
           let w = words policy name in
-          if w >= old /. 4.0 then
+          if w >= bound then
             Alcotest.failf "%s (%s): %.1f minor words per element, bound %.2f" name label w
-              (old /. 4.0))
+              bound)
         [
           "bytecode only", Some Runtime.Substitute.Bytecode_only, bytecode;
           "default policy", None, default;
         ])
     [
-      "saxpy", 42.1, 40.2;
-      "dotproduct", 66.2, 64.2;
-      "sumsq", 49.1, 47.1;
-      "blackscholes", 234.5, 232.8;
+      "saxpy", 42.1 /. 4.0, 40.2 /. 4.0;
+      "dotproduct", 66.2 /. 4.0, 64.2 /. 4.0;
+      "sumsq", 49.1 /. 4.0, 47.1 /. 4.0;
+      "blackscholes", 2.0, 2.0;
     ]
 
 let suite =
